@@ -152,6 +152,7 @@ let write_bench_json ~figure_ms =
       kernel_counters []
     |> List.sort compare
   in
+  let prof = Emsc_obs.Prof.snapshot () in
   let j =
     J.Obj
       [ ("schema", J.Str "emsc-bench/1");
@@ -176,10 +177,10 @@ let write_bench_json ~figure_ms =
         ("metrics", Emsc_obs.Metrics.snapshot_json (Emsc_obs.Metrics.snapshot ()));
         ( "pass_cache",
           Emsc_driver.Cache.stats_json bench_cache );
-        ("pass_timings", Emsc_obs.Trace.aggregate_json ());
+        ("pass_timings", Emsc_obs.Prof.pass_timings prof);
         (* per-pass self times with caller stacks; bench-compare uses
            this to attribute a wall regression to the offending pass *)
-        ("compile_profile", Emsc_obs.Prof.json (Emsc_obs.Prof.snapshot ())) ]
+        ("compile_profile", Emsc_obs.Prof.json prof) ]
   in
   let oc = open_out path in
   Fun.protect
@@ -1305,11 +1306,9 @@ let () =
     | _ :: (_ :: _ as args) -> args
     | _ -> List.map fst all_figs
   in
-  (* pass timings in the artifact come from the tracing layer; counter
-     totals (pass cache, exec movement, fuzz progress) from the
-     metrics registry; per-pass self times with caller attribution
-     from the self-profiler *)
-  Emsc_obs.Trace.enable ();
+  (* pass timings and per-pass self times with caller attribution in
+     the artifact come from the profiler; counter totals (pass cache,
+     exec movement, fuzz progress) from the metrics registry *)
   Emsc_obs.Metrics.enable ();
   Emsc_obs.Prof.enable ();
   let figure_ms =

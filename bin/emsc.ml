@@ -38,15 +38,15 @@ let die e =
 
 let ok_or_die = function Ok v -> v | Error e -> die e
 
-(* run [f] with tracing directed at [path] (when given); the trace file
-   is written even when [f] fails, so aborted compilations can still be
-   inspected *)
+(* run [f] with the profiler recording a timeline directed at [path]
+   (when given); the trace file is written even when [f] fails, so
+   aborted compilations can still be inspected *)
 let with_trace trace f =
   match trace with
   | None -> f ()
   | Some path ->
-    Trace.reset ();
-    Trace.enable ();
+    Prof.reset ();
+    Prof.enable ~timeline:true ();
     Fun.protect
       ~finally:(fun () ->
         (* tracing must not destroy the command's result; the merged
@@ -55,7 +55,7 @@ let with_trace trace f =
            compile trace otherwise *)
         (try Events.write_merged_chrome path
          with Sys_error e -> Printf.eprintf "emsc: cannot write trace: %s\n" e);
-        Trace.disable ())
+        Prof.disable ())
       f
 
 let emit_json out j =
@@ -713,11 +713,6 @@ let profile_cmd =
       else cpu_profile ~hier p ~params
     in
     let fields =
-      if Trace.enabled () then
-        fields @ [ ("pass_timings", Trace.aggregate_json ()) ]
-      else fields
-    in
-    let fields =
       if Prof.enabled () then begin
         let wall_ms = (Unix.gettimeofday () -. t_start) *. 1000.0 in
         let prof = Prof.snapshot () in
@@ -726,7 +721,10 @@ let profile_cmd =
           Prof.write_collapsed collapsed prof;
           Printf.eprintf "collapsed stacks written to %s\n%!" collapsed
         end;
-        fields @ [ ("compile_profile", Prof.json ~wall_ms prof) ]
+        fields
+        @ (if trace = None then []
+           else [ ("pass_timings", Prof.pass_timings prof) ])
+        @ [ ("compile_profile", Prof.json ~wall_ms prof) ]
       end
       else fields
     in

@@ -486,7 +486,7 @@ let audit_compiled ?(tolerance = default_tolerance) ?(double_buffer = false)
   match c.Pipeline.plan with
   | None -> Skipped "pipeline stops before planning"
   | Some plan ->
-    Emsc_obs.Trace.span "audit.run" @@ fun () ->
+    Emsc_obs.Prof.probe "audit.run" @@ fun () ->
     let staging = c.Pipeline.options.Options.stage_data in
     let was_on = Metrics.enabled () in
     let measured =

@@ -136,13 +136,13 @@ let reuse_of ~p ~param_context ~origin ~step ~mem_names ~buffer ~in_data
 let plan_block ?(delta = 0.3) ?param_env ?param_context ?(arch = `Gpu)
     ?(optimize_movement = false) ?(live_out = fun _ -> true)
     ?(merge_per_array = false) ?inter_tile p =
-  Emsc_obs.Trace.span "plan.plan_block"
+  Emsc_obs.Prof.probe "plan.plan_block"
     ~args:
       [ ("arch", Emsc_obs.Json.Str (match arch with `Gpu -> "gpu" | `Cell -> "cell"));
         ("delta", Emsc_obs.Json.Float delta) ]
   @@ fun () ->
   let partitions =
-    Emsc_obs.Trace.span "plan.partition" @@ fun () ->
+    Emsc_obs.Prof.probe "plan.partition" @@ fun () ->
     let parts = Dataspaces.partition_all p in
     if not merge_per_array then parts
     else
@@ -165,11 +165,11 @@ let plan_block ?(delta = 0.3) ?param_env ?param_context ?(arch = `Gpu)
   in
   let buffered = ref [] and skipped = ref [] in
   List.iter (fun part ->
-    Emsc_obs.Trace.span "plan.partition_plan"
+    Emsc_obs.Prof.probe "plan.partition_plan"
       ~args:[ ("array", Emsc_obs.Json.Str part.Dataspaces.array) ]
     @@ fun () ->
     let report =
-      Emsc_obs.Trace.span "reuse.analyze" @@ fun () ->
+      Emsc_obs.Prof.probe "reuse.analyze" @@ fun () ->
       Reuse.analyze ~delta ?param_env p part
     in
     let copy =
@@ -177,7 +177,7 @@ let plan_block ?(delta = 0.3) ?param_env ?param_context ?(arch = `Gpu)
     in
     if copy then begin
       let buffer =
-        Emsc_obs.Trace.span "alloc.build" @@ fun () ->
+        Emsc_obs.Prof.probe "alloc.build" @@ fun () ->
         Alloc.build ~local_name:(fresh_name part.Dataspaces.array) p part
       in
       let out_data =
@@ -207,12 +207,12 @@ let plan_block ?(delta = 0.3) ?param_env ?param_context ?(arch = `Gpu)
         if write_exact then in_data else Uset.union in_data out_data
       in
       let move_in =
-        Emsc_obs.Trace.span "movement.copy_code_in" @@ fun () ->
+        Emsc_obs.Prof.probe "movement.copy_code_in" @@ fun () ->
         Movement.copy_code ?context:param_context p buffer ~dir:`In
           ~data:in_data
       in
       let move_out =
-        Emsc_obs.Trace.span "movement.copy_code_out" @@ fun () ->
+        Emsc_obs.Prof.probe "movement.copy_code_out" @@ fun () ->
         Movement.copy_code ?context:param_context p buffer ~dir:`Out
           ~data:out_data
       in
@@ -222,7 +222,7 @@ let plan_block ?(delta = 0.3) ?param_env ?param_context ?(arch = `Gpu)
       let reuse =
         match inter_tile with
         | Some (origin, step, mem_names) when not optimize_movement ->
-          Emsc_obs.Trace.span "plan.inter_tile_reuse" @@ fun () ->
+          Emsc_obs.Prof.probe "plan.inter_tile_reuse" @@ fun () ->
           reuse_of ~p ~param_context ~origin ~step ~mem_names ~buffer
             ~in_data ~out_data ~full_in:move_in ~full_out:move_out
         | _ -> None

@@ -72,7 +72,7 @@ let execute ~prog ?local_ref ?(locals = []) ?(mode = Exec.Sampled 6) ?memory
   let result =
     match backend with
     | `Seq ->
-      Trace.span "driver.execute" @@ fun () ->
+      Prof.probe "driver.execute" @@ fun () ->
       Exec.run ~prog ?local_ref ~param_env ~memory:m ~mode ?on_global ast
     | `Par jobs ->
       (* parallel execution is Full-fidelity by construction: sampling
@@ -81,7 +81,7 @@ let execute ~prog ?local_ref ?(locals = []) ?(mode = Exec.Sampled 6) ?memory
         par_cfg ?hierarchy ~jobs ~policy ~double_buffer ~track_ownership
           ~block_words ~inter_tile_reuse ()
       in
-      Trace.span "driver.execute" @@ fun () ->
+      Prof.probe "driver.execute" @@ fun () ->
       Emsc_runtime.Runtime.run ~prog ?local_ref ~param_env ~memory:m
         ?on_global ~cfg ast
   in
@@ -147,7 +147,7 @@ let with_runtime_report ?capacity f =
 let reference ?memory ?(param_env = no_params) ?on_global (p : Prog.t) =
   let m = prepare ?memory ~param_env p in
   let counters =
-    Trace.span "driver.reference" @@ fun () ->
+    Prof.probe "driver.reference" @@ fun () ->
     Reference.run p ~param_env m ?on_global ()
   in
   (m, counters)

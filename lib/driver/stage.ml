@@ -27,11 +27,10 @@ let exec ?cache ~record st x =
   let label = "driver." ^ st.name in
   let result, cacheable, cached =
     Prof.probe label @@ fun () ->
-    Trace.span label @@ fun () ->
     match cache with
     | Some (c, key) when Cache.enabled c ->
       let value, hit = Cache.memo c ~key (fun () -> st.run x) in
-      Trace.count (if hit then "cache.hit" else "cache.miss") 1.0;
+      Prof.add (if hit then "cache.hit" else "cache.miss") 1.0;
       (value, true, hit)
     | _ -> (st.run x, false, false)
   in

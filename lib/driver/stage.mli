@@ -2,7 +2,7 @@
     pipeline artifact type to the next.
 
     Stages compose with {!(>>>)}; {!exec} is the single place where a
-    stage run is traced (an [Emsc_obs.Trace] span named
+    stage run is probed (an [Emsc_obs.Prof] span named
     ["driver.<stage>"]), timed, counted against the memo cache, and
     reported, so every consumer of the pipeline gets identical
     observability for free. *)
@@ -31,5 +31,5 @@ val exec :
   ?cache:Cache.t * string ->
   record:(timing -> unit) ->
   ('a, 'b) t -> 'a -> 'b
-(** Run the stage: inside a trace span, through the memo cache when
+(** Run the stage: inside a probe, through the memo cache when
     [(cache, key)] is given, reporting a {!timing} to [record]. *)

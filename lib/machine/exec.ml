@@ -350,7 +350,7 @@ and exec_loop ctx (l : Ast.loop) =
   let starts_launch = l.Ast.par = Ast.Block && not ctx.in_launch in
   if starts_launch then begin
     let grid = grid_size ctx l in
-    Emsc_obs.Trace.span "exec.launch"
+    Emsc_obs.Prof.probe "exec.launch"
       ~args:[ ("grid", Emsc_obs.Json.Float grid) ]
     @@ fun () ->
     let before = copy_counters ctx.c in
@@ -358,10 +358,10 @@ and exec_loop ctx (l : Ast.loop) =
     exec_loop_body ctx l;
     ctx.in_launch <- false;
     let delta = sub_counters ctx.c before in
-    Emsc_obs.Trace.count "launch.flops" delta.flops;
-    Emsc_obs.Trace.count "launch.global" (total_global delta);
-    Emsc_obs.Trace.count "launch.smem" (total_smem delta);
-    Emsc_obs.Trace.count "launch.syncs" delta.syncs;
+    Emsc_obs.Prof.add "launch.flops" delta.flops;
+    Emsc_obs.Prof.add "launch.global" (total_global delta);
+    Emsc_obs.Prof.add "launch.smem" (total_smem delta);
+    Emsc_obs.Prof.add "launch.syncs" delta.syncs;
     if grid > 0.0 then
       ctx.launches <-
         { grid; per_block = scale_counters delta (1.0 /. grid); repeat = 1.0 }
@@ -491,7 +491,7 @@ let run_block session ~memory ?(mode = Full) ?on_global
   let ctx =
     (* [in_launch] pre-set: the block body's own Block loops are plain
        loops here (the caller owns launch bookkeeping), and neither
-       Trace nor Metrics is touched — safe on a worker domain *)
+       Prof nor Metrics is touched — safe on a worker domain *)
     make_ctx session ~memory ~mode ~on_global ~collect_dma ~in_launch:true
   in
   List.iter (fun (n, v) -> Hashtbl.replace ctx.env n v) bindings;

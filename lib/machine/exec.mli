@@ -125,7 +125,7 @@ val run_block :
   Emsc_codegen.Ast.stm list ->
   block_outcome
 (** Execute statements under the given loop-variable [bindings] with a
-    fresh counter set.  Never touches [Metrics] or [Trace] (safe on a
+    fresh counter set.  Never touches [Metrics] or [Prof] (safe on a
     worker domain); movement is tallied into the outcome when
     [collect_dma] is set.  Block loops inside [stms] are treated as
     plain loops — launch bookkeeping belongs to the caller. *)

@@ -180,7 +180,7 @@ let chrome_events tracks =
   List.rev !out
 
 let merged_chrome_json () =
-  let compile = Trace.chrome_json () in
+  let compile = Prof.chrome_json () in
   let compile_events =
     match Json.member "traceEvents" compile with
     | Some l -> Json.to_list l
@@ -195,7 +195,13 @@ let merged_chrome_json () =
       ("displayTimeUnit", Json.Str "ms") ]
 
 let write_merged_chrome path =
+  let s = Json.to_string (merged_chrome_json ()) in
   let oc = open_out path in
-  output_string oc (Json.to_string (merged_chrome_json ()));
-  output_char oc '\n';
-  close_out oc
+  Fun.protect
+    ~finally:(fun () -> close_out_noerr oc)
+    (fun () ->
+      output_string oc s;
+      output_char oc '\n';
+      (* surface a failed flush as [Sys_error]; the finally is then a
+         no-op *)
+      close_out oc)

@@ -7,7 +7,7 @@
     DMA lanes, arena occupancy — without any synchronization on the
     hot path.
 
-    Discipline, same as {!Trace} and {!Metrics}: disabled by default,
+    Discipline, same as {!Prof} and {!Metrics}: disabled by default,
     and every emit first tests one boolean.  Instrumented code must
     guard the event-record construction behind {!enabled} (or a cached
     copy of it), so a disabled run allocates nothing and executes
@@ -101,10 +101,12 @@ val chrome_events : track list -> Json.t list
     plus thread/process-name metadata.  Empty input yields []. *)
 
 val merged_chrome_json : unit -> Json.t
-(** The compile-path {!Trace} spans (pid 1) and the drained runtime
+(** The compile-path {!Prof} timeline spans (pid 1) and the drained runtime
     tracks (pid 2) in a single [{"traceEvents": ...}] document, so one
     file shows parse → plan → execute on one timeline. *)
 
 val write_merged_chrome : string -> unit
-(** Write {!merged_chrome_json} to a file.  When no runtime events
-    were recorded this is exactly {!Trace.write_chrome}. *)
+(** Write {!merged_chrome_json} to a file: the one Chrome trace
+    writer.  When no runtime events were recorded the file holds
+    exactly {!Prof.chrome_json}.  The channel is closed on error too;
+    a failed write raises [Sys_error]. *)

@@ -1,7 +1,7 @@
 (** Process-wide metrics registry: named, labeled counters, gauges, and
     log-scale histograms.
 
-    Same discipline as {!Trace}: disabled by default, and every update
+    Same discipline as {!Prof}: disabled by default, and every update
     entry point first tests one boolean, so instrumented code paths cost
     nothing measurable when metrics are off.  When enabled, updates are
     O(1) hashtable operations keyed by (name, sorted labels).

@@ -71,7 +71,8 @@ type reject = {
   code : string;
       (** ["bad_json"], ["bad_version"], ["bad_request"],
           ["oversized_line"], ["queue_full"], ["timeout"],
-          ["draining"], ["compile_error"], ["server_error"] *)
+          ["draining"], ["compile_error"], ["server_error"],
+          ["too_many_connections"] *)
   message : string;
 }
 

@@ -1,7 +1,7 @@
 module P = Protocol
 module J = Emsc_obs.Json
 module Metrics = Emsc_obs.Metrics
-module Trace = Emsc_obs.Trace
+module Prof = Emsc_obs.Prof
 module Pipeline = Emsc_driver.Pipeline
 module Cache = Emsc_driver.Cache
 module Source = Emsc_driver.Source
@@ -179,19 +179,36 @@ let listen_socket = function
     Unix.listen fd 64;
     fd
 
+(* [select] cannot watch a descriptor past its fixed set size (1024 on
+   Linux): it fails with EINVAL, so such a descriptor must never reach
+   the loop *)
+let selectable fd =
+  match Unix.select [ fd ] [] [] 0.0 with
+  | _ -> true
+  | exception Unix.Unix_error (Unix.EINVAL, _, _) -> false
+
 (* --- the daemon ----------------------------------------------------------- *)
 
-let run (cfg : config) : stats =
+type listener = {
+  l_cfg : config;
+  listen_fd : Unix.file_descr;
+  (* self-pipe: workers (and signal handlers) wake the select loop *)
+  wake_r : Unix.file_descr;
+  wake_w : Unix.file_descr;
+}
+
+let listen cfg =
   let listen_fd = listen_socket cfg.addr in
   set_nonblock listen_fd;
-  (* a write to a disconnected client must be an EPIPE error, not a
-     process-killing signal *)
-  if not Sys.win32 then Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
-
-  (* self-pipe: workers (and signal handlers) wake the select loop *)
   let wake_r, wake_w = Unix.pipe () in
   set_nonblock wake_r;
   set_nonblock wake_w;
+  { l_cfg = cfg; listen_fd; wake_r; wake_w }
+
+let serve { l_cfg = cfg; listen_fd; wake_r; wake_w } : stats =
+  (* a write to a disconnected client must be an EPIPE error, not a
+     process-killing signal *)
+  if not Sys.win32 then Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
   let wake () =
     try ignore (Unix.write wake_w (Bytes.make 1 '!') 0 1)
     with Unix.Unix_error _ -> ()
@@ -240,7 +257,7 @@ let run (cfg : config) : stats =
     else begin
       let opn = P.op_name t.t_req.P.op in
       let result =
-        Trace.span ("serve." ^ opn) (fun () ->
+        Prof.probe ("serve." ^ opn) (fun () ->
           execute ~cache:cfg.cache ~default_machine:cfg.default_machine
             t.t_req.P.op)
       in
@@ -498,6 +515,21 @@ let run (cfg : config) : stats =
   let accept_new () =
     let rec loop () =
       match Unix.accept listen_fd with
+      | fd, _ when not (selectable fd) ->
+        (* past select's set size: answer in-band and keep serving *)
+        set_nonblock fd;
+        observe_reject "too_many_connections";
+        incr rejected;
+        let line =
+          P.error_response ~id:""
+            (P.reject "too_many_connections"
+               "daemon holds too many descriptors; retry later")
+          ^ "\n"
+        in
+        (try ignore (Unix.write_substring fd line 0 (String.length line))
+         with Unix.Unix_error _ -> ());
+        close_noerr fd;
+        loop ()
       | fd, _ ->
         set_nonblock fd;
         incr accepted;
@@ -631,3 +663,5 @@ let run (cfg : config) : stats =
     (Printf.sprintf "drained: %d served, %d rejected, %d connection(s)"
        !served !rejected !accepted);
   { served = !served; rejected = !rejected; connections = !accepted }
+
+let run cfg = serve (listen cfg)

@@ -10,7 +10,7 @@
         └──────┬──────────────────────────────────────────────┘
                │ bounded task queue (queue_full reject past capacity)
         ┌──────▼──────────────┐
-        │ worker domain pool  │── Pipeline.compile under Trace/Metrics
+        │ worker domain pool  │── Pipeline.compile under Prof/Metrics
         └──────┬──────────────┘
                │ shared Driver.Cache (LRU memory layer + atomic disk)
                ▼
@@ -66,7 +66,25 @@ type stats = {
 val run : config -> stats
 (** Serve until a [shutdown] request (or SIGTERM under
     [install_signal_handlers]) completes its drain.  Blocks the
-    calling thread; embed in a [Domain.spawn] to serve in-process. *)
+    calling thread; embed in a [Domain.spawn] to serve in-process.
+    [run cfg] is [serve (listen cfg)].
+
+    A connection accepted on a descriptor [select] cannot watch
+    (past its set size, 1024 on Linux) is answered with one
+    ["too_many_connections"] reject and closed; the daemon keeps
+    serving. *)
+
+type listener
+(** A bound listen socket plus the loop's wake-up pipe. *)
+
+val listen : config -> listener
+(** Bind the socket and create the wake-up pipe.  Once it returns,
+    clients may connect (they wait in the backlog until {!serve}
+    runs), so a caller that serves from another domain can start its
+    clients without racing the bind. *)
+
+val serve : listener -> stats
+(** The event loop of {!run}, on an already bound listener. *)
 
 val job_of_request :
   default_machine:string -> name:string -> text:string ->

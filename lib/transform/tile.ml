@@ -137,7 +137,7 @@ let origin_context p spec =
   Poly.make ~dim:(np + no) ~eqs:[] ~ineqs:rows
 
 let tile_program p spec =
-  Emsc_obs.Trace.span "tile.tile_program" @@ fun () ->
+  Emsc_obs.Prof.probe "tile.tile_program" @@ fun () ->
   let np = Prog.nparams p in
   let stmt =
     match p.Prog.stmts with
@@ -334,7 +334,7 @@ let wrap lvl body =
         step = Zint.of_int lvl.step; par = lvl.par; body } ]
 
 let generate p spec ~movement =
-  Emsc_obs.Trace.span "tile.generate" @@ fun () ->
+  Emsc_obs.Prof.probe "tile.generate" @@ fun () ->
   let np = Prog.nparams p in
   if np <> 0 then
     invalid_arg "Tile.generate: program parameters must be instantiated";

@@ -376,21 +376,31 @@ let test_batch_dead_worker_is_isolated () =
 (* --- tracing ---------------------------------------------------------- *)
 
 let test_stage_spans () =
-  Emsc_obs.Trace.reset ();
-  Emsc_obs.Trace.enable ();
+  let module Prof = Emsc_obs.Prof in
+  let module J = Emsc_obs.Json in
+  Prof.reset ();
+  Prof.enable ~timeline:true ();
   let finally () =
-    Emsc_obs.Trace.disable ();
-    Emsc_obs.Trace.reset ()
+    Prof.disable ();
+    Prof.reset ()
   in
   Fun.protect ~finally (fun () ->
     let (_ : Pipeline.compiled) = compile_ok ~cache:(Cache.in_memory ()) (src ()) in
-    let names =
-      List.map (fun (a : Emsc_obs.Trace.agg) -> a.Emsc_obs.Trace.agg_name)
-        (Emsc_obs.Trace.aggregate ())
+    let passes =
+      List.map (fun p -> p.Prof.p_name) (Prof.passes (Prof.snapshot ()))
+    in
+    let events =
+      match J.member "traceEvents" (Prof.chrome_json ()) with
+      | Some l ->
+        List.filter_map (fun e ->
+          match J.member "name" e with Some (J.Str n) -> Some n | _ -> None)
+          (J.to_list l)
+      | None -> []
     in
     List.iter
       (fun n ->
-        Alcotest.(check bool) ("span " ^ n) true (List.mem n names))
+        Alcotest.(check bool) ("span " ^ n) true (List.mem n events);
+        Alcotest.(check bool) ("pass " ^ n) true (List.mem n passes))
       [ "driver.parse"; "driver.deps"; "driver.hyperplanes"; "driver.plan" ])
 
 (* --- front-end errors ------------------------------------------------- *)

@@ -234,14 +234,14 @@ let pid_of ev =
   match Json.member "pid" ev with Some (Json.Int p) -> p | _ -> -1
 
 let test_merged_chrome () =
-  Trace.reset ();
-  Trace.enable ();
+  Prof.reset ();
+  Prof.enable ~timeline:true ();
   Fun.protect
     ~finally:(fun () ->
-      Trace.disable ();
-      Trace.reset ())
+      Prof.disable ();
+      Prof.reset ())
     (fun () ->
-      Trace.span "compile" (fun () -> ());
+      Prof.probe "compile" (fun () -> ());
       with_events (fun () ->
         let _ = synthetic_tracks () in
         let evs = trace_events (Events.merged_chrome_json ()) in
@@ -287,7 +287,7 @@ let test_merged_chrome () =
         Json.to_string
           (Json.Obj
              [ ("traceEvents",
-                Json.List (trace_events (Trace.chrome_json ())));
+                Json.List (trace_events (Prof.chrome_json ())));
                ("displayTimeUnit", Json.Str "ms") ])
       in
       Alcotest.(check string) "events-off export is compile-only" compile_only

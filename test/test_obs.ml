@@ -135,76 +135,94 @@ let test_json_boundaries () =
   check golden "int-valued-float" (Json.Float 3.0) (parse_exn "3.0")
 
 (* ------------------------------------------------------------------ *)
-(* Trace: span nesting, timing, export                                 *)
+(* Prof timeline: span nesting, timing, Chrome export                  *)
 (* ------------------------------------------------------------------ *)
 
 (* deterministic clock: each reading advances by one second *)
 let with_fake_clock f =
   let t = ref 0.0 in
-  Trace.set_clock (fun () -> t := !t +. 1.0; !t);
-  Trace.reset ();
-  Trace.enable ();
+  Prof.set_clock (fun () -> t := !t +. 1.0; !t);
+  Prof.reset ();
+  Prof.enable ~timeline:true ();
   Fun.protect f ~finally:(fun () ->
-    Trace.disable ();
-    Trace.reset ();
-    Trace.use_default_clock ())
+    Prof.disable ();
+    Prof.reset ();
+    Prof.use_default_clock ())
 
 let build_tree () =
-  Trace.span "outer" (fun () ->
-    Trace.count "items" 2.0;
-    Trace.span "inner" (fun () -> Trace.count "items" 1.0);
-    Trace.span "inner" (fun () -> ()))
+  Prof.probe "outer" (fun () ->
+    Prof.add "items" 2.0;
+    Prof.probe "inner" (fun () -> Prof.add "items" 1.0);
+    Prof.probe "inner" (fun () -> ()))
+
+(* the Chrome events of the recorded timeline, through a print/parse
+   round-trip *)
+let chrome_events () =
+  match
+    Json.member "traceEvents" (parse_exn (Json.to_string (Prof.chrome_json ())))
+  with
+  | Some e -> Json.to_list e
+  | None -> Alcotest.fail "no traceEvents"
+
+let ev_name ev =
+  match Json.member "name" ev with Some (Json.Str n) -> n | _ -> ""
+
+let ev_num field ev =
+  match Json.member field ev with
+  | Some (Json.Float f) -> f
+  | Some (Json.Int i) -> float_of_int i
+  | _ -> Alcotest.failf "event without numeric %s" field
+
+let ev_arg name ev = Option.bind (Json.member "args" ev) (Json.member name)
+
+let find_pass n =
+  match
+    List.find_opt (fun p -> p.Prof.p_name = n) (Prof.passes (Prof.snapshot ()))
+  with
+  | Some p -> p
+  | None -> Alcotest.failf "no pass %s" n
+
+let counters_t =
+  Alcotest.list (Alcotest.pair Alcotest.string (Alcotest.float 0.0))
 
 let test_span_nesting () =
   with_fake_clock (fun () ->
     build_tree ();
-    match Trace.roots () with
-    | [ outer ] ->
-      checks "outer name" "outer" outer.Trace.name;
-      Alcotest.(check int) "children" 2 (List.length outer.Trace.children);
-      List.iter (fun (c : Trace.node) ->
-        checks "child name" "inner" c.Trace.name;
+    match chrome_events () with
+    | [ outer; a; b ] ->
+      Alcotest.(check (list string)) "pre-order names"
+        [ "outer"; "inner"; "inner" ] (List.map ev_name [ outer; a; b ]);
+      let ts = ev_num "ts" and dur = ev_num "dur" in
+      List.iter (fun c ->
         checkb "child within parent" true
-          (c.Trace.start_s >= outer.Trace.start_s
-           && c.Trace.start_s +. c.Trace.dur_s
-              <= outer.Trace.start_s +. outer.Trace.dur_s))
-        outer.Trace.children;
+          (ts c >= ts outer && ts c +. dur c <= ts outer +. dur outer))
+        [ a; b ];
       (* children in start order, non-overlapping under the fake clock *)
-      (match outer.Trace.children with
-       | [ a; b ] ->
-         checkb "monotonic starts" true
-           (a.Trace.start_s +. a.Trace.dur_s <= b.Trace.start_s)
-       | _ -> assert false);
+      checkb "monotonic starts" true (ts a +. dur a <= ts b);
       (* counters land on the innermost open span, no roll-up *)
-      check (Alcotest.list (Alcotest.pair Alcotest.string (Alcotest.float 0.0)))
-        "outer counters" [ ("items", 2.0) ] outer.Trace.counters;
-      check (Alcotest.list (Alcotest.pair Alcotest.string (Alcotest.float 0.0)))
-        "inner counters" [ ("items", 1.0) ]
-        (List.hd outer.Trace.children).Trace.counters
-    | roots -> Alcotest.failf "expected 1 root, got %d" (List.length roots))
+      checkb "outer counters" true
+        (ev_arg "items" outer = Some (Json.Float 2.0));
+      checkb "inner counters" true (ev_arg "items" a = Some (Json.Float 1.0));
+      checkb "no counter on the second inner" true (ev_arg "items" b = None)
+    | evs -> Alcotest.failf "expected 3 events, got %d" (List.length evs))
 
 let test_span_disabled_and_errors () =
-  Trace.reset ();
-  Trace.disable ();
-  check Alcotest.int "disabled passthrough" 7 (Trace.span "x" (fun () -> 7));
-  Trace.count "noop" 1.0;
-  Alcotest.(check int) "nothing recorded" 0 (List.length (Trace.roots ()));
+  Prof.reset ();
+  Prof.disable ();
+  check Alcotest.int "disabled passthrough" 7 (Prof.probe "x" (fun () -> 7));
+  Prof.add "noop" 1.0;
+  Alcotest.(check int) "nothing recorded" 0
+    (List.length (Prof.snapshot ()));
   with_fake_clock (fun () ->
-    (try Trace.span "boom" (fun () -> failwith "bang") with Failure _ -> ());
-    match Trace.roots () with
-    | [ n ] ->
-      checkb "error marked" true (List.mem_assoc "error" n.Trace.args)
+    (try Prof.probe "boom" (fun () -> failwith "bang") with Failure _ -> ());
+    match chrome_events () with
+    | [ n ] -> checkb "error marked" true (ev_arg "error" n <> None)
     | _ -> Alcotest.fail "raising span must still be recorded")
 
 let test_chrome_json () =
   with_fake_clock (fun () ->
     build_tree ();
-    let j = parse_exn (Json.to_string (Trace.chrome_json ())) in
-    let events =
-      match Json.member "traceEvents" j with
-      | Some e -> Json.to_list e
-      | None -> Alcotest.fail "no traceEvents"
-    in
+    let events = chrome_events () in
     Alcotest.(check int) "event count" 3 (List.length events);
     List.iter (fun ev ->
       checkb "complete event" true
@@ -213,42 +231,39 @@ let test_chrome_json () =
         checkb (f ^ " present") true (Json.member f ev <> None))
         [ "name"; "ts"; "dur"; "pid"; "tid" ])
       events;
-    (* aggregate sees both spans *)
-    match Trace.aggregate () with
-    | [] -> Alcotest.fail "empty aggregate"
-    | _ :: _ ->
-      let inner =
-        List.find (fun (a : Trace.agg) -> a.Trace.agg_name = "inner")
-          (Trace.aggregate ())
-      in
-      Alcotest.(check int) "inner calls" 2 inner.Trace.calls)
+    (* the aggregate view of the same recording sees both spans *)
+    Alcotest.(check int) "inner calls" 2 (find_pass "inner").Prof.p_calls)
 
 let test_aggregate_errors () =
   with_fake_clock (fun () ->
     build_tree ();
     (try
-       Trace.span "boom" (fun () ->
-         Trace.count "items" 5.0;
+       Prof.probe "boom" (fun () ->
+         Prof.add "items" 5.0;
          failwith "bang")
      with Failure _ -> ());
-    let aggs = Trace.aggregate () in
-    let find n = List.find (fun (a : Trace.agg) -> a.Trace.agg_name = n) aggs in
-    Alcotest.(check int) "boom calls" 1 (find "boom").Trace.calls;
-    Alcotest.(check int) "boom errors" 1 (find "boom").Trace.errors;
-    Alcotest.(check int) "inner errors" 0 (find "inner").Trace.errors;
-    Alcotest.(check int) "outer errors" 0 (find "outer").Trace.errors;
+    let find = find_pass in
+    Alcotest.(check int) "boom calls" 1 (find "boom").Prof.p_calls;
+    Alcotest.(check int) "boom errors" 1 (find "boom").Prof.p_errors;
+    Alcotest.(check int) "inner errors" 0 (find "inner").Prof.p_errors;
+    Alcotest.(check int) "outer errors" 0 (find "outer").Prof.p_errors;
     (* counter totals ride along per span name *)
-    check (Alcotest.list (Alcotest.pair Alcotest.string (Alcotest.float 0.0)))
-      "boom counters" [ ("items", 5.0) ] (find "boom").Trace.agg_counters;
-    check (Alcotest.list (Alcotest.pair Alcotest.string (Alcotest.float 0.0)))
-      "inner counters" [ ("items", 1.0) ] (find "inner").Trace.agg_counters;
-    (* the error span is marked in the JSON aggregate too *)
-    let j = parse_exn (Json.to_string (Trace.aggregate_json ())) in
+    check counters_t "boom counters" [ ("items", 5.0) ]
+      (find "boom").Prof.p_counters;
+    check counters_t "inner counters" [ ("items", 1.0) ]
+      (find "inner").Prof.p_counters;
+    (* the error span is marked in the pass_timings JSON too *)
+    let j =
+      parse_exn (Json.to_string (Prof.pass_timings (Prof.snapshot ())))
+    in
     let rows = Json.to_list j in
     let boom =
       List.find (fun r -> Json.member "name" r = Some (Json.Str "boom")) rows
     in
-    checkb "errors field" true (Json.member "errors" boom = Some (Json.Int 1)))
+    checkb "errors field" true (Json.member "errors" boom = Some (Json.Int 1));
+    List.iter (fun k ->
+      checkb (k ^ " key") true (Json.member k boom <> None))
+      [ "name"; "calls"; "errors"; "total_ms"; "counters" ])
 
 (* ------------------------------------------------------------------ *)
 (* Log: ndjson sink flushes after every record                         *)
@@ -397,51 +412,56 @@ let test_metrics_parallel () =
 
 (* spans opened on different domains keep their own stacks (so nesting
    is per-domain) while completed roots and counter totals merge; every
-   span must survive the concurrent root attach *)
+   span must survive the concurrent recording *)
 let test_trace_parallel () =
-  Trace.reset ();
-  Trace.enable ();
+  Prof.reset ();
+  Prof.enable ~timeline:true ();
   Fun.protect
     ~finally:(fun () ->
-      Trace.disable ();
-      Trace.reset ())
+      Prof.disable ();
+      Prof.reset ())
     (fun () ->
       let domains = 4 and iters = 200 in
       let workers =
         List.init domains (fun _ ->
           Domain.spawn (fun () ->
             for _ = 1 to iters do
-              Trace.span "outer" (fun () ->
-                Trace.count "items" 1.0;
-                Trace.span "inner" (fun () -> ()))
+              Prof.probe "outer" (fun () ->
+                Prof.add "items" 1.0;
+                Prof.probe "inner" (fun () -> ()))
             done))
       in
       List.iter Domain.join workers;
-      let roots = Trace.roots () in
-      Alcotest.(check int) "every span became a root" (domains * iters)
-        (List.length roots);
-      List.iter (fun (n : Trace.node) ->
-        checks "root name" "outer" n.Trace.name;
-        Alcotest.(check int) "nested child stayed on its domain" 1
-          (List.length n.Trace.children))
-        roots;
+      let events = chrome_events () in
+      let named n = List.filter (fun e -> ev_name e = n) events in
+      let outers = named "outer" in
+      Alcotest.(check int) "every outer span recorded" (domains * iters)
+        (List.length outers);
+      Alcotest.(check int) "every inner span recorded" (domains * iters)
+        (List.length (named "inner"));
+      (* pre-order: each outer is followed by its own inner, on its tid *)
+      let rec nested = function
+        | o :: i :: rest when ev_name o = "outer" ->
+          ev_name i = "inner"
+          && Json.member "tid" o = Json.member "tid" i
+          && nested rest
+        | [] -> true
+        | _ -> false
+      in
+      checkb "nested child stayed on its domain" true (nested events);
       (* roots come back sorted by start time for the Chrome export *)
       let rec sorted = function
-        | a :: (b :: _ as rest) ->
-          a.Trace.start_s <= b.Trace.start_s && sorted rest
+        | a :: (b :: _ as rest) -> ev_num "ts" a <= ev_num "ts" b && sorted rest
         | _ -> true
       in
-      checkb "roots in start order" true (sorted roots);
-      let find n =
-        List.find (fun (a : Trace.agg) -> a.Trace.agg_name = n)
-          (Trace.aggregate ())
-      in
-      Alcotest.(check int) "outer calls" (domains * iters) (find "outer").Trace.calls;
-      Alcotest.(check int) "inner calls" (domains * iters) (find "inner").Trace.calls;
-      check (Alcotest.list (Alcotest.pair Alcotest.string (Alcotest.float 0.0)))
-        "exact counter total"
+      checkb "roots in start order" true (sorted outers);
+      Alcotest.(check int) "outer calls" (domains * iters)
+        (find_pass "outer").Prof.p_calls;
+      Alcotest.(check int) "inner calls" (domains * iters)
+        (find_pass "inner").Prof.p_calls;
+      check counters_t "exact counter total"
         [ ("items", float_of_int (domains * iters)) ]
-        (find "outer").Trace.agg_counters)
+        (find_pass "outer").Prof.p_counters)
 
 (* ------------------------------------------------------------------ *)
 (* Metric records                                                      *)

@@ -1,12 +1,14 @@
-(* The compiler self-profiler: zero-cost-when-disabled discipline,
+(* The span and counter engine: zero-cost-when-disabled discipline,
    hierarchical accumulation with exact call counts under a 4-domain
-   hammer, deterministic collapsed-stack export for a fixed compile,
-   preserved legacy trace counters at the converted poly call-sites,
-   histogram quantiles, and bench-compare regression attribution. *)
+   hammer, counters outside any probe, agreement of the timeline and
+   aggregate views of one recording, deterministic collapsed-stack
+   export for a fixed compile, histogram quantiles, and bench-compare
+   regression attribution. *)
 
 open Emsc_obs
 module BC = Emsc_audit.Bench_compare
 
+let check = Alcotest.check
 let checkb = Alcotest.check Alcotest.bool
 let checki = Alcotest.check Alcotest.int
 let checks = Alcotest.check Alcotest.string
@@ -38,14 +40,14 @@ let frame prof stack =
 (* Disabled: no output, no allocation                                  *)
 (* ------------------------------------------------------------------ *)
 
-(* top-level so the [counted] call-site is fully applied: the disabled
+(* top-level so the [wrap] call-site is fully applied: the disabled
    path must not build a closure *)
 let na_impl x = x + 1
 
 let test_disabled_records_nothing () =
   Prof.reset ();
   Prof.disable ();
-  checki "counted still runs the function" 42 (Prof.counted "na" na_impl 41);
+  checki "wrap still runs the function" 42 (Prof.wrap "na" na_impl 41);
   ignore (Prof.probe "p" (fun () -> 7));
   Prof.add "c" 1.0;
   checki "nothing recorded while disabled" 0 (List.length (Prof.snapshot ()));
@@ -55,11 +57,11 @@ let test_disabled_no_allocation () =
   Prof.reset ();
   Prof.disable ();
   (* warm up so the loop's code path is settled before measuring *)
-  ignore (Prof.counted "prof.na" na_impl 0);
+  ignore (Prof.wrap "prof.na" na_impl 0);
   Prof.add "prof.na.counter" 1.0;
   let w0 = Gc.minor_words () in
   for i = 0 to 99_999 do
-    ignore (Prof.counted "prof.na" na_impl i);
+    ignore (Prof.wrap "prof.na" na_impl i);
     Prof.add "prof.na.counter" 1.0
   done;
   let dw = Gc.minor_words () -. w0 in
@@ -107,6 +109,7 @@ let test_exception_still_records () =
     (try Prof.probe "boom" (fun () -> failwith "x") with Failure _ -> ());
     let f = frame (Prof.snapshot ()) [ "boom" ] in
     checki "errored probe counted" 1 f.Prof.f_calls;
+    checki "errored probe marked" 1 f.Prof.f_errors;
     checkb "errored probe timed" true (f.Prof.f_total_s > 0.0);
     (* the stack was popped: a later probe is a root, not a child *)
     Prof.probe "after" (fun () -> ());
@@ -133,41 +136,126 @@ let test_four_domain_hammer_exact_counts () =
       (List.assoc "ticks" inner.Prof.f_counters))
 
 (* ------------------------------------------------------------------ *)
-(* Legacy trace counters at the converted poly call-sites              *)
+(* Counters outside any probe                                          *)
 (* ------------------------------------------------------------------ *)
 
-let test_poly_trace_counters_preserved () =
-  let open Emsc_poly in
-  Trace.reset ();
-  Trace.enable ();
+let counters_t =
+  Alcotest.list (Alcotest.pair Alcotest.string (Alcotest.float 0.0))
+
+let contains needle hay =
+  let nl = String.length needle and hl = String.length hay in
+  let rec go i = i + nl <= hl && (String.sub hay i nl = needle || go (i + 1)) in
+  go 0
+
+let test_root_counters_kept () =
+  with_prof (fun () ->
+    install_fake_clock ();
+    Prof.add "outside" 2.0;
+    Prof.probe "p" (fun () -> Prof.add "inside" 1.0);
+    Prof.add "outside" 3.0;
+    let prof = Prof.snapshot () in
+    let root = frame prof [] in
+    check counters_t "kept under the empty stack" [ ("outside", 5.0) ]
+      root.Prof.f_counters;
+    checki "the empty stack has no calls" 0 root.Prof.f_calls;
+    check counters_t "probed counter stays on its stack" [ ("inside", 1.0) ]
+      (frame prof [ "p" ]).Prof.f_counters;
+    (* per-pass views skip the unlabelled stack instead of raising *)
+    Alcotest.(check (list string)) "passes" [ "p" ]
+      (List.map (fun p -> p.Prof.p_name) (Prof.passes prof));
+    Prof.pp_top Format.str_formatter prof;
+    ignore (Format.flush_str_formatter ());
+    checks "collapsed holds labelled stacks only" "p 1000\n"
+      (Prof.collapsed prof);
+    let json = Json.to_string (Prof.json prof) in
+    checkb "json keeps the counters" true
+      (contains {|{"stack":"","calls":0|} json
+       && contains {|"outside":5.0|} json);
+    Prof.pp_tree Format.str_formatter ();
+    let tree = Format.flush_str_formatter () in
+    checkb "tree shows them" true
+      (contains "(outside any span)" tree && contains "outside=5" tree))
+
+(* ------------------------------------------------------------------ *)
+(* The timeline and aggregate views of one recording agree             *)
+(* ------------------------------------------------------------------ *)
+
+let test_views_agree () =
+  Prof.reset ();
+  Prof.enable ~timeline:true ();
   Fun.protect
     ~finally:(fun () ->
-      Trace.disable ();
-      Trace.reset ())
-    (fun () ->
-      let box =
-        Poly.of_ineqs ~dim:2
-          [ [ 1; 0; 0 ]; [ -1; 0; 7 ]; [ 0; 1; 0 ]; [ 0; -1; 7 ] ]
-      in
-      Trace.span "t" (fun () ->
-        ignore (Poly.is_empty box);
-        ignore (Poly.is_empty box);
-        ignore (Poly.eliminate_dim box 1);
-        ignore (Poly.remove_redundant box));
-      let agg = Trace.aggregate () in
-      let t = List.find (fun a -> a.Trace.agg_name = "t") agg in
-      let total name =
-        match List.assoc_opt name t.Trace.agg_counters with
-        | Some v -> v
-        | None -> Alcotest.failf "span lost counter %s" name
-      in
-      (* 2 explicit calls + the one remove_redundant makes internally,
-         exactly as the pre-Prof call-sites counted *)
-      checkf "poly.is_empty counter still emitted" 3.0 (total "poly.is_empty");
-      checkf "poly.eliminate_dim counter still emitted" 1.0
-        (total "poly.eliminate_dim");
-      checkf "poly.remove_redundant counter still emitted" 1.0
-        (total "poly.remove_redundant"))
+      Prof.disable ();
+      Prof.reset ();
+      Prof.use_default_clock ())
+  @@ fun () ->
+  (* whole seconds, shared by every domain: durations are small
+     integers, so both views' sums are exact *)
+  let ticks = Atomic.make 0 in
+  Prof.set_clock (fun () -> float_of_int (Atomic.fetch_and_add ticks 1));
+  let work d () =
+    for i = 1 to 30 do
+      Prof.probe "outer" (fun () ->
+        Prof.add "items" 1.0;
+        Prof.probe ~args:[ ("i", Json.Int i) ] "inner" (fun () ->
+          Prof.add "items" 2.0;
+          Prof.add "bytes" (float_of_int d));
+        (try
+           Prof.probe "boom" (fun () ->
+             Prof.add "items" 1.0;
+             if i mod 3 = 0 then failwith "bang")
+         with Failure _ -> ());
+        Prof.probe "inner" (fun () -> ()))
+    done
+  in
+  let domains = List.init 3 (fun d -> Domain.spawn (work (d + 1))) in
+  work 0 ();
+  List.iter Domain.join domains;
+  Prof.add "outside" 1.0;
+  let events =
+    match Json.member "traceEvents" (Prof.chrome_json ()) with
+    | Some l -> Json.to_list l
+    | None -> Alcotest.fail "no traceEvents"
+  in
+  let name ev =
+    match Json.member "name" ev with Some (Json.Str n) -> n | _ -> ""
+  in
+  let args ev =
+    match Json.member "args" ev with Some (Json.Obj a) -> a | _ -> []
+  in
+  let passes = Prof.passes (Prof.snapshot ()) in
+  Alcotest.(check (list string)) "same labels"
+    (List.sort_uniq compare (List.map name events))
+    (List.sort compare (List.map (fun p -> p.Prof.p_name) passes));
+  List.iter (fun (p : Prof.pass) ->
+    let evs = List.filter (fun e -> name e = p.Prof.p_name) events in
+    let label what = p.Prof.p_name ^ ": " ^ what in
+    checki (label "events = calls") p.Prof.p_calls (List.length evs);
+    check (Alcotest.float 0.0) (label "sum of dur = total_ms")
+      (p.Prof.p_total_s *. 1e3)
+      (List.fold_left (fun acc e ->
+         match Json.member "dur" e with
+         | Some (Json.Float us) -> acc +. (us /. 1e3)
+         | _ -> Alcotest.fail "event without dur")
+         0.0 evs);
+    checki (label "errors") p.Prof.p_errors
+      (List.length (List.filter (fun e -> List.mem_assoc "error" (args e)) evs));
+    (* counters are the Float args; span args ("i") are Ints *)
+    let sums =
+      List.fold_left (fun acc e ->
+        List.fold_left (fun acc (k, v) ->
+          match v with
+          | Json.Float x ->
+            let cur = Option.value ~default:0.0 (List.assoc_opt k acc) in
+            (k, cur +. x) :: List.remove_assoc k acc
+          | _ -> acc)
+          acc (args e))
+        [] evs
+    in
+    check counters_t (label "counters") p.Prof.p_counters
+      (List.sort compare sums))
+    passes;
+  checki "boom errors" 40 (List.find (fun p -> p.Prof.p_name = "boom") passes).Prof.p_errors
 
 (* ------------------------------------------------------------------ *)
 (* Deterministic collapsed export for a fixed compile                  *)
@@ -371,9 +459,12 @@ let () =
             test_exception_still_records;
           Alcotest.test_case "4-domain hammer, exact counts" `Quick
             test_four_domain_hammer_exact_counts ] );
-      ( "legacy",
-        [ Alcotest.test_case "poly trace counters preserved" `Quick
-            test_poly_trace_counters_preserved ] );
+      ( "counters",
+        [ Alcotest.test_case "kept outside any probe" `Quick
+            test_root_counters_kept ] );
+      ( "views",
+        [ Alcotest.test_case "timeline agrees with aggregate" `Quick
+            test_views_agree ] );
       ( "export",
         [ Alcotest.test_case "collapsed deterministic for a fixed compile"
             `Quick test_collapsed_deterministic_for_fixed_compile ] );

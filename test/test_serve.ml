@@ -150,7 +150,10 @@ let with_server ?workers ?queue_capacity ?default_timeout_ms ?max_line_bytes
     Server.config ?workers ?queue_capacity ?default_timeout_ms
       ?max_line_bytes ~cache (`Unix sock)
   in
-  let srv = Domain.spawn (fun () -> Server.run cfg) in
+  (* bound before the serving domain starts: [f] never races the
+     listen socket or the wake-up pipe into existence *)
+  let listener = Server.listen cfg in
+  let srv = Domain.spawn (fun () -> Server.serve listener) in
   let shutdown () =
     match
       Client.once ~retries:3 ~retry_delay_s:0.05 (`Unix sock)
@@ -361,6 +364,54 @@ let test_oversized_line_rejected_and_no_fd_leak () =
   done;
   Alcotest.(check bool) "no fd leak" true (count_fds () <= baseline)
 
+(* the select loop cannot watch a descriptor past 1024: a client the
+   daemon accepts on one gets a typed reject, and the daemon keeps
+   serving once descriptors free up *)
+let test_high_fd_rejected_daemon_survives () =
+  with_server ~workers:1 @@ fun addr ->
+  let held = ref [] in
+  let release () =
+    List.iter (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ()) !held;
+    held := []
+  in
+  Fun.protect ~finally:release (fun () ->
+    let limited =
+      try
+        for _ = 1 to 1100 do
+          held := Unix.openfile "/dev/null" [ Unix.O_RDONLY ] 0 :: !held
+        done;
+        false
+      with Unix.Unix_error (Unix.EMFILE, _, _) -> true
+    in
+    if limited then
+      (* the host's descriptor limit keeps every descriptor below
+         select's set size: only survival can be checked here *)
+      print_endline "descriptor limit below 1100: typed reject unreachable"
+    else begin
+      (* a raw socket with a receive timeout: a daemon that died must
+         fail the test, not hang it *)
+      let path = match addr with `Unix p -> p | `Tcp _ -> assert false in
+      let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+      held := fd :: !held;
+      Unix.connect fd (Unix.ADDR_UNIX path);
+      Unix.setsockopt_float fd Unix.SO_RCVTIMEO 10.0;
+      match input_line (Unix.in_channel_of_descr fd) with
+      | exception (End_of_file | Sys_error _) ->
+        Alcotest.fail "no typed reject within 10 s"
+      | raw ->
+        (match Client.parse_response raw with
+         | Error m -> Alcotest.failf "unparseable reject: %s" m
+         | Ok resp ->
+           Alcotest.(check bool) "rejected" false resp.Client.ok;
+           (match resp.Client.error with
+            | Some r ->
+              Alcotest.(check string) "code" "too_many_connections" r.P.code
+            | None -> Alcotest.fail "reject without error object"))
+    end);
+  match Client.once ~retries:3 ~retry_delay_s:0.05 addr (req P.Status) with
+  | Ok resp -> Alcotest.(check bool) "status after the reject" true resp.Client.ok
+  | Error m -> Alcotest.failf "daemon died at a high descriptor: %s" m
+
 (* --- backpressure and timeouts ----------------------------------------- *)
 
 let test_queue_full_backpressure () =
@@ -437,8 +488,8 @@ let test_queue_deadline_timeout () =
 let test_status_and_drain () =
   let cache = Cache.in_memory ~max_entries:64 () in
   let sock = fresh_sock () in
-  let cfg = Server.config ~workers:2 ~cache (`Unix sock) in
-  let srv = Domain.spawn (fun () -> Server.run cfg) in
+  let listener = Server.listen (Server.config ~workers:2 ~cache (`Unix sock)) in
+  let srv = Domain.spawn (fun () -> Server.serve listener) in
   let addr = `Unix sock in
   (match Client.connect addr with
    | Error m -> Alcotest.failf "connect: %s" m
@@ -470,8 +521,8 @@ let test_status_and_drain () =
 
 let test_draining_rejects_new_work () =
   let sock = fresh_sock () in
-  let cfg = Server.config ~workers:1 (`Unix sock) in
-  let srv = Domain.spawn (fun () -> Server.run cfg) in
+  let listener = Server.listen (Server.config ~workers:1 (`Unix sock)) in
+  let srv = Domain.spawn (fun () -> Server.serve listener) in
   (match Client.connect (`Unix sock) with
    | Error m -> Alcotest.failf "connect: %s" m
    | Ok conn ->
@@ -554,7 +605,9 @@ let () =
         [ Alcotest.test_case "malformed lines rejected in-band" `Quick
             test_malformed_requests_rejected_in_band;
           Alcotest.test_case "oversized line rejected, no fd leak" `Slow
-            test_oversized_line_rejected_and_no_fd_leak ] );
+            test_oversized_line_rejected_and_no_fd_leak;
+          Alcotest.test_case "descriptor past 1024 rejected, daemon survives"
+            `Slow test_high_fd_rejected_daemon_survives ] );
       ( "load",
         [ Alcotest.test_case "queue_full backpressure" `Slow
             test_queue_full_backpressure;
