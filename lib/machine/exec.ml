@@ -75,218 +75,711 @@ let rec expr_flops = function
   | Prog.Ediv (a, b) | Prog.Emin (a, b) | Prog.Emax (a, b) ->
     1 + expr_flops a + expr_flops b
 
-(* staged-movement accounting local to one execution context: worker
-   domains must never touch the (single-threaded) Metrics registry, so
-   copies are tallied here and flushed — or reduced across blocks —
-   from the main domain *)
-type dma_tally = {
-  mutable dma_copies : float;
-  dma_in : (string, float ref) Hashtbl.t;
-  dma_out : (string, float ref) Hashtbl.t;
-}
-
-let fresh_dma () =
-  { dma_copies = 0.; dma_in = Hashtbl.create 4; dma_out = Hashtbl.create 4 }
-
-let dma_sorted tbl =
-  Hashtbl.fold (fun name r acc -> (name, !r) :: acc) tbl []
-  |> List.sort compare
-
 type block_dma = {
   copies : float;
   moved_in : (string * float) list;
   moved_out : (string * float) list;
 }
 
-let block_dma_of_tally d =
-  { copies = d.dma_copies;
-    moved_in = dma_sorted d.dma_in;
-    moved_out = dma_sorted d.dma_out }
+type block_outcome = {
+  b_counters : counters;
+  b_dma : block_dma;
+}
 
-type ctx = {
-  prog : Prog.t;
-  stmts : (int, Prog.stmt) Hashtbl.t;
-  flops_of : (int, int) Hashtbl.t;
-  rewrite : Prog.stmt -> Prog.access -> Ast.ref_expr option;
-  param_env : string -> Zint.t;
-  memory : Memory.t;
-  env : (string, Zint.t) Hashtbl.t;
+(* ------------------------------------------------------------------ *)
+(* Checked native-int arithmetic                                       *)
+
+(* Raised by the fast path on overflow; every top-level evaluation then
+   redoes the expression exactly in [Zint] and converts with
+   [Zint.to_int_exn], so a value that fits is never lost and one that
+   does not raises that function's [Failure] — nothing ever wraps. *)
+exception Overflow
+
+let add_c a b =
+  let s = a + b in
+  if (a lxor s) land (b lxor s) < 0 then raise_notrace Overflow else s
+
+let sub_c a b =
+  let s = a - b in
+  if (a lxor b) land (a lxor s) < 0 then raise_notrace Overflow else s
+
+let small x = x >= -0x4000_0000 && x <= 0x4000_0000
+
+let mul_c a b =
+  if small a && small b then a * b
+  else if a = 0 || b = 0 then 0
+  else begin
+    let p = a * b in
+    if p / b <> a || (a = min_int && b = -1) || (b = min_int && a = -1)
+    then raise_notrace Overflow
+    else p
+  end
+
+let fdiv_c a d =
+  if d = -1 && a = min_int then raise_notrace Overflow;
+  let q = a / d in
+  if a mod d <> 0 && (a < 0) <> (d < 0) then q - 1 else q
+
+let cdiv_c a d =
+  if d = -1 && a = min_int then raise_notrace Overflow;
+  let q = a / d in
+  if a mod d <> 0 && (a < 0) = (d < 0) then q + 1 else q
+
+let int_of_zint z =
+  match Zint.to_int_opt z with Some n -> n | None -> raise_notrace Overflow
+
+(* trip count of [lb..ub] by [step], as the interpreter defined it *)
+let trip_count lb ub step =
+  try add_c (fdiv_c (sub_c ub lb) step) 1
+  with Overflow ->
+    Zint.to_int_exn
+      (Zint.add
+         (Zint.fdiv (Zint.sub (Zint.of_int ub) (Zint.of_int lb)) (Zint.of_int step))
+         Zint.one)
+
+(* ------------------------------------------------------------------ *)
+(* Frames and staged code                                              *)
+
+(* Everything one execution mutates.  Staged code is immutable and may
+   run on many domains at once, each with its own frame. *)
+type frame = {
+  v : int array;  (* variable slots *)
+  bufs : Memory.buf array;  (* the staged code's arrays in this memory *)
+  idx : int array array;  (* index scratch, one per rank *)
+  f : float array;  (* float registers *)
   c : counters;
   mode : mode;
-  on_global : (string -> int -> [ `Ld | `St ] -> unit) option;
+  hook : (string -> int -> [ `Ld | `St ] -> unit) option;  (* Full only *)
   collect_dma : bool;
-  dma : dma_tally;
+  mutable dma_copies : float;
+  dma_in : float array;  (* per buffer id *)
+  dma_out : float array;
   mutable in_launch : bool;
   mutable launches : launch list;
 }
 
-let lookup ctx n =
-  match Hashtbl.find_opt ctx.env n with
-  | Some v -> v
-  | None -> ctx.param_env n
+type staged = {
+  code : frame -> unit;
+  n_inputs : int;
+  n_slots : int;
+  arrays : (string * bool) array;  (* name, always global *)
+  max_rank : int;
+  n_regs : int;
+}
 
-let eval_aexpr ctx e = Ast.eval (lookup ctx) e
+(* how a name not bound by a loop of the staged code resolves *)
+type leaf = Slot of int | Value of Zint.t | Unbound of exn
 
-(* integer value of an access-map row under the statement's bindings *)
-let eval_access_row ctx (s : Prog.stmt) (row : Emsc_linalg.Vec.t) iters =
-  let np = Prog.nparams ctx.prog in
-  let depth = s.Prog.depth in
-  let acc = ref row.(depth + np) in
-  for i = 0 to depth - 1 do
-    acc := Zint.add !acc (Zint.mul row.(i) iters.(i))
-  done;
-  for k = 0 to np - 1 do
-    (* tile-origin parameters are bound as loop variables, real program
-       parameters come from the valuation: go through [lookup] *)
-    if not (Zint.is_zero row.(depth + k)) then
-      acc :=
-        Zint.add !acc
-          (Zint.mul row.(depth + k) (lookup ctx ctx.prog.Prog.params.(k)))
-  done;
-  Zint.to_int_exn !acc
+type session = {
+  s_prog : Prog.t;
+  s_stmts : (int, Prog.stmt * float) Hashtbl.t;  (* with flops per instance *)
+  s_rewrite : Prog.stmt -> Prog.access -> Ast.ref_expr option;
+  s_param_env : string -> Zint.t;
+  s_params : (string, leaf) Hashtbl.t;
+  mutable s_staged : (string list * Ast.stm list * staged) list;
+}
 
-let read_ref ctx (r : Ast.ref_expr) =
-  let idx = Array.map (fun e -> Zint.to_int_exn (eval_aexpr ctx e)) r.Ast.indices in
-  if Memory.is_local ctx.memory r.Ast.array then begin
-    ctx.c.s_ld <- ctx.c.s_ld +. 1.0;
-    Memory.read_local ctx.memory r.Ast.array idx
-  end
-  else begin
-    ctx.c.g_ld <- ctx.c.g_ld +. 1.0;
-    (match ctx.on_global with
-     | Some f when ctx.mode = Full ->
-       f r.Ast.array
-         (Memory.base_address ctx.memory r.Ast.array
-          + Memory.flat_index ctx.memory r.Ast.array idx)
-         `Ld
-     | Some _ | None -> ());
-    Memory.read_global ctx.memory r.Ast.array idx
-  end
+(* Staging state: slots are allocated like a stack (a scope's slots are
+   reused by its siblings), arrays get dense ids. *)
+type stager = {
+  sess : session;
+  mutable high : int;
+  buf_ids : (string * bool, int) Hashtbl.t;
+  mutable buf_list : (string * bool) list;  (* reverse id order *)
+  mutable ranks : int;
+  mutable regs : int;
+  calls : (int * Ast.aexpr array * (string * int) list * int, frame -> unit) Hashtbl.t;
+}
 
-let write_ref ctx (r : Ast.ref_expr) v =
-  let idx = Array.map (fun e -> Zint.to_int_exn (eval_aexpr ctx e)) r.Ast.indices in
-  if Memory.is_local ctx.memory r.Ast.array then begin
-    ctx.c.s_st <- ctx.c.s_st +. 1.0;
-    Memory.write_local ctx.memory r.Ast.array idx v
-  end
-  else begin
-    ctx.c.g_st <- ctx.c.g_st +. 1.0;
-    (match ctx.on_global with
-     | Some f when ctx.mode = Full ->
-       f r.Ast.array
-         (Memory.base_address ctx.memory r.Ast.array
-          + Memory.flat_index ctx.memory r.Ast.array idx)
-         `St
-     | Some _ | None -> ());
-    Memory.write_global ctx.memory r.Ast.array idx v
-  end
+type scope = { vars : (string * int) list; next : int }
 
-let read_access ctx (s : Prog.stmt) (a : Prog.access) iters =
-  match ctx.rewrite s a with
-  | Some r -> read_ref ctx r
+let bind st sc name =
+  let k = sc.next in
+  if k + 1 > st.high then st.high <- k + 1;
+  ({ vars = (name, k) :: sc.vars; next = k + 1 }, k)
+
+let resolve st sc name =
+  match List.assoc_opt name sc.vars with
+  | Some k -> Slot k
+  | None -> (
+    match Hashtbl.find_opt st.sess.s_params name with
+    | Some l -> l
+    | None ->
+      let l =
+        match st.sess.s_param_env name with
+        | z -> Value z
+        | exception e -> Unbound e
+      in
+      Hashtbl.replace st.sess.s_params name l;
+      l)
+
+let buf_id st key =
+  match Hashtbl.find_opt st.buf_ids key with
+  | Some i -> i
   | None ->
-    let idx =
-      Array.map (fun row -> eval_access_row ctx s row iters) a.Prog.map
-    in
-    ctx.c.g_ld <- ctx.c.g_ld +. 1.0;
-    (match ctx.on_global with
-     | Some f when ctx.mode = Full ->
-       f a.Prog.array
-         (Memory.base_address ctx.memory a.Prog.array
-          + Memory.flat_index ctx.memory a.Prog.array idx)
-         `Ld
-     | Some _ | None -> ());
-    Memory.read_global ctx.memory a.Prog.array idx
+    let i = Hashtbl.length st.buf_ids in
+    Hashtbl.replace st.buf_ids key i;
+    st.buf_list <- key :: st.buf_list;
+    i
 
-let write_access ctx (s : Prog.stmt) (a : Prog.access) iters v =
-  match ctx.rewrite s a with
-  | Some r -> write_ref ctx r v
-  | None ->
-    let idx =
-      Array.map (fun row -> eval_access_row ctx s row iters) a.Prog.map
-    in
-    ctx.c.g_st <- ctx.c.g_st +. 1.0;
-    (match ctx.on_global with
-     | Some f when ctx.mode = Full ->
-       f a.Prog.array
-         (Memory.base_address ctx.memory a.Prog.array
-          + Memory.flat_index ctx.memory a.Prog.array idx)
-         `St
-     | Some _ | None -> ());
-    Memory.write_global ctx.memory a.Prog.array idx v
+(* statement iterators live in slots named so no source name clashes *)
+let iter_name i = "#" ^ string_of_int i
 
-let rec eval_expr ctx s iters (e : Prog.expr) =
+(* --- index expressions ---------------------------------------------- *)
+
+(* [Some (c, terms)] when [e] is affine in slots *)
+let rec linear st sc (e : Ast.aexpr) =
+  let scale k (c, ts) = (Zint.mul k c, List.map (fun (a, s) -> (Zint.mul k a, s)) ts) in
+  let sum (c1, t1) (c2, t2) = (Zint.add c1 c2, t1 @ t2) in
   match e with
-  | Prog.Eref a -> read_access ctx s a iters
-  | Prog.Eiter i -> Zint.to_float iters.(i)
-  | Prog.Eparam k -> Zint.to_float (lookup ctx ctx.prog.Prog.params.(k))
-  | Prog.Econst f -> f
-  | Prog.Eneg e -> -.eval_expr ctx s iters e
-  | Prog.Eabs e -> Float.abs (eval_expr ctx s iters e)
-  | Prog.Eadd (a, b) -> eval_expr ctx s iters a +. eval_expr ctx s iters b
-  | Prog.Esub (a, b) -> eval_expr ctx s iters a -. eval_expr ctx s iters b
-  | Prog.Emul (a, b) -> eval_expr ctx s iters a *. eval_expr ctx s iters b
-  | Prog.Ediv (a, b) -> eval_expr ctx s iters a /. eval_expr ctx s iters b
+  | Ast.Var x -> (
+    match resolve st sc x with
+    | Slot k -> Some (Zint.zero, [ (Zint.one, k) ])
+    | Value z -> Some (z, [])
+    | Unbound _ -> None)
+  | Ast.Const z -> Some (z, [])
+  | Ast.Add (a, b) -> Option.bind (linear st sc a) (fun la -> Option.map (sum la) (linear st sc b))
+  | Ast.Sub (a, b) ->
+    Option.bind (linear st sc a) (fun la ->
+      Option.map (fun lb -> sum la (scale Zint.minus_one lb)) (linear st sc b))
+  | Ast.Mul (k, a) -> Option.map (scale k) (linear st sc a)
+  | Ast.Fdiv _ | Ast.Cdiv _ | Ast.Min _ | Ast.Max _ -> None
+
+(* the affine form with one zero-free term per slot *)
+let affine st sc e =
+  Option.map (fun (c, ts) ->
+    let slots = List.sort_uniq compare (List.map snd ts) in
+    ( c,
+      List.filter_map (fun s ->
+        let a =
+          List.fold_left (fun acc (a, s') -> if s' = s then Zint.add acc a else acc) Zint.zero ts
+        in
+        if Zint.is_zero a then None else Some (a, s))
+        slots ))
+    (linear st sc e)
+
+let compile_affine (c, ts) : int array -> int =
+  let c = int_of_zint c and ts = List.map (fun (a, s) -> (int_of_zint a, s)) ts in
+  match ts with
+  | [] -> fun _ -> c
+  | [ (a, k) ] -> fun v -> add_c (mul_c a (Array.unsafe_get v k)) c
+  | [ (a, k); (b, l) ] ->
+    fun v ->
+      add_c (add_c (mul_c a (Array.unsafe_get v k)) (mul_c b (Array.unsafe_get v l))) c
+  | _ ->
+    let a = Array.of_list ts in
+    fun v ->
+      let acc = ref c in
+      for i = 0 to Array.length a - 1 do
+        let coef, k = Array.unsafe_get a i in
+        acc := add_c !acc (mul_c coef (Array.unsafe_get v k))
+      done;
+      !acc
+
+(* fast path: native ints, [Overflow] when a step does not fit *)
+let rec fast st sc (e : Ast.aexpr) : int array -> int =
+  match affine st sc e with
+  | Some form -> (
+    match compile_affine form with
+    | f -> f
+    | exception Overflow -> fun _ -> raise_notrace Overflow)
+  | None -> (
+    match e with
+    | Ast.Var x -> (
+      (* a name is affine unless it is unbound *)
+      match resolve st sc x with
+      | Unbound ex -> fun _ -> raise ex
+      | Slot _ | Value _ -> assert false)
+    | Ast.Const _ -> assert false
+    | Ast.Add (a, b) ->
+      let fa = fast st sc a and fb = fast st sc b in
+      fun v -> add_c (fa v) (fb v)
+    | Ast.Sub (a, b) ->
+      let fa = fast st sc a and fb = fast st sc b in
+      fun v -> sub_c (fa v) (fb v)
+    | Ast.Mul (k, a) -> (
+      let fa = fast st sc a in
+      match Zint.to_int_opt k with
+      | Some k -> fun v -> mul_c k (fa v)
+      | None -> fun _ -> raise_notrace Overflow)
+    | Ast.Fdiv (a, d) | Ast.Cdiv (a, d) -> (
+      let fa = fast st sc a in
+      let div = match e with Ast.Fdiv _ -> fdiv_c | _ -> cdiv_c in
+      match Zint.to_int_opt d with
+      | Some d -> fun v -> div (fa v) d
+      | None -> fun _ -> raise_notrace Overflow)
+    | Ast.Min [] | Ast.Max [] -> fun _ -> invalid_arg "Ast.eval: empty min/max"
+    | Ast.Min (e0 :: es) | Ast.Max (e0 :: es) ->
+      let pick = match e with Ast.Min _ -> Int.min | _ -> Int.max in
+      let f0 = fast st sc e0 and fs = Array.of_list (List.map (fast st sc) es) in
+      fun v ->
+        let acc = ref (f0 v) in
+        for i = 0 to Array.length fs - 1 do
+          acc := pick !acc ((Array.unsafe_get fs i) v)
+        done;
+        !acc)
+
+(* exact path, for when the fast one overflows *)
+let slow st sc (e : Ast.aexpr) : int array -> Zint.t =
+  let rec free acc = function
+    | Ast.Var x ->
+      if List.mem_assoc x sc.vars || List.mem_assoc x acc then acc
+      else (x, resolve st sc x) :: acc
+    | Ast.Const _ -> acc
+    | Ast.Add (a, b) | Ast.Sub (a, b) -> free (free acc a) b
+    | Ast.Mul (_, a) | Ast.Fdiv (a, _) | Ast.Cdiv (a, _) -> free acc a
+    | Ast.Min es | Ast.Max es -> List.fold_left free acc es
+  in
+  let params = free [] e in
+  fun v ->
+    Ast.eval (fun x ->
+      match List.assoc_opt x sc.vars with
+      | Some k -> Zint.of_int v.(k)
+      | None -> (
+        match List.assoc x params with
+        | Slot k -> Zint.of_int v.(k)
+        | Value z -> z
+        | Unbound ex -> raise ex))
+      e
+
+(* constants and plain variables cannot overflow: no exact path *)
+let int_expr st sc e : int array -> int =
+  match Option.map (fun (c, ts) -> (Zint.to_int_opt c, ts)) (affine st sc e) with
+  | Some (Some c, []) -> fun _ -> c
+  | Some (Some 0, [ (a, k) ]) when Zint.is_one a -> fun v -> Array.unsafe_get v k
+  | _ ->
+    let f = fast st sc e and s = slow st sc e in
+    fun v -> try f v with Overflow -> Zint.to_int_exn (s v)
+
+let cond_expr st sc e : int array -> bool =
+  let f = fast st sc e and s = slow st sc e in
+  fun v -> try f v >= 0 with Overflow -> not (Zint.is_negative (s v))
+
+(* --- array accesses ------------------------------------------------- *)
+
+(* Float values travel through the frame's register file [f], never
+   boxed: an expression evaluates into register [d], its operands into
+   [d] and [d + 1]. *)
+
+let load_idx fr (ixs : (int array -> int) array) =
+  let a = Array.unsafe_get fr.idx (Array.length ixs) in
+  for k = 0 to Array.length ixs - 1 do
+    Array.unsafe_set a k ((Array.unsafe_get ixs k) fr.v)
+  done;
+  a
+
+let note_rank st n = if n > st.ranks then st.ranks <- n
+let note_reg st d = if d + 1 > st.regs then st.regs <- d + 1
+
+let on_global fr name b idx kind =
+  match fr.hook with Some f -> f name (Memory.buf_address b idx) kind | None -> ()
+
+(* a reference whose storage class (local or global) the memory
+   decides: copies and rewritten statement accesses *)
+let compile_ref st sc (r : Ast.ref_expr) =
+  let id = buf_id st (r.Ast.array, false) in
+  let ixs = Array.map (int_expr st sc) r.Ast.indices in
+  note_rank st (Array.length ixs);
+  (id, ixs)
+
+let read_ref st sc (r : Ast.ref_expr) d =
+  note_reg st d;
+  let id, ixs = compile_ref st sc r in
+  let name = r.Ast.array in
+  fun fr ->
+    let a = load_idx fr ixs in
+    let b = Array.unsafe_get fr.bufs id in
+    if Memory.buf_is_local b then fr.c.s_ld <- fr.c.s_ld +. 1.0
+    else begin
+      fr.c.g_ld <- fr.c.g_ld +. 1.0;
+      on_global fr name b a `Ld
+    end;
+    Memory.buf_load b a fr.f d
+
+let write_ref st sc (r : Ast.ref_expr) d =
+  note_reg st d;
+  let id, ixs = compile_ref st sc r in
+  let name = r.Ast.array in
+  fun fr ->
+    let a = load_idx fr ixs in
+    let b = Array.unsafe_get fr.bufs id in
+    if Memory.buf_is_local b then fr.c.s_st <- fr.c.s_st +. 1.0
+    else begin
+      fr.c.g_st <- fr.c.g_st +. 1.0;
+      on_global fr name b a `St
+    end;
+    Memory.buf_store b a fr.f d
+
+(* a statement access no buffer redirects: always global, indexed by
+   its access map over the statement iterators and parameters *)
+let compile_access st sc (s : Prog.stmt) (a : Prog.access) =
+  let prog = st.sess.s_prog in
+  let depth = s.Prog.depth in
+  let names i = if i < depth then iter_name i else prog.Prog.params.(i - depth) in
+  let ixs =
+    Array.map (fun row -> int_expr st sc (Ast.vec_to_aexpr ~names row)) a.Prog.map
+  in
+  note_rank st (Array.length ixs);
+  (buf_id st (a.Prog.array, true), ixs)
+
+let read_access st sc s (a : Prog.access) d =
+  match st.sess.s_rewrite s a with
+  | Some r -> read_ref st sc r d
+  | None ->
+    note_reg st d;
+    let id, ixs = compile_access st sc s a in
+    let name = a.Prog.array in
+    fun fr ->
+      let idx = load_idx fr ixs in
+      let b = Array.unsafe_get fr.bufs id in
+      fr.c.g_ld <- fr.c.g_ld +. 1.0;
+      on_global fr name b idx `Ld;
+      Memory.buf_load b idx fr.f d
+
+let write_access st sc s (a : Prog.access) d =
+  match st.sess.s_rewrite s a with
+  | Some r -> write_ref st sc r d
+  | None ->
+    note_reg st d;
+    let id, ixs = compile_access st sc s a in
+    let name = a.Prog.array in
+    fun fr ->
+      let idx = load_idx fr ixs in
+      let b = Array.unsafe_get fr.bufs id in
+      fr.c.g_st <- fr.c.g_st +. 1.0;
+      on_global fr name b idx `St;
+      Memory.buf_store b idx fr.f d
+
+(* --- statement bodies ----------------------------------------------- *)
+
+(* Binary operands evaluate right to left, the order the interpreter's
+   [eval a +. eval b] had, so global accesses reach [on_global] in the
+   same sequence: [b] into register [d], then [a] into [d + 1], which
+   leaves [d] alone. *)
+let rec compile_expr st sc s (e : Prog.expr) d : frame -> unit =
+  note_reg st d;
+  let operands a b =
+    let fb = compile_expr st sc s b d and fa = compile_expr st sc s a (d + 1) in
+    fun fr ->
+      fb fr;
+      fa fr
+  in
+  let const x fr = Array.unsafe_set fr.f d x in
+  match e with
+  | Prog.Eref a -> read_access st sc s a d
+  | Prog.Eiter i -> (
+    match List.assoc_opt (iter_name i) sc.vars with
+    | Some k -> fun fr -> Array.unsafe_set fr.f d (float_of_int (Array.unsafe_get fr.v k))
+    | None -> fun _ -> invalid_arg "index out of bounds")
+  | Prog.Eparam k -> (
+    match resolve st sc st.sess.s_prog.Prog.params.(k) with
+    | Slot j -> fun fr -> Array.unsafe_set fr.f d (float_of_int (Array.unsafe_get fr.v j))
+    | Value z -> const (Zint.to_float z)
+    | Unbound ex -> fun _ -> raise ex)
+  | Prog.Econst x -> const x
+  | Prog.Eneg a ->
+    let fa = compile_expr st sc s a d in
+    fun fr ->
+      fa fr;
+      Array.unsafe_set fr.f d (-.Array.unsafe_get fr.f d)
+  | Prog.Eabs a ->
+    let fa = compile_expr st sc s a d in
+    fun fr ->
+      fa fr;
+      Array.unsafe_set fr.f d (Float.abs (Array.unsafe_get fr.f d))
+  | Prog.Eadd (a, b) ->
+    let ab = operands a b in
+    fun fr ->
+      ab fr;
+      Array.unsafe_set fr.f d (Array.unsafe_get fr.f (d + 1) +. Array.unsafe_get fr.f d)
+  | Prog.Esub (a, b) ->
+    let ab = operands a b in
+    fun fr ->
+      ab fr;
+      Array.unsafe_set fr.f d (Array.unsafe_get fr.f (d + 1) -. Array.unsafe_get fr.f d)
+  | Prog.Emul (a, b) ->
+    let ab = operands a b in
+    fun fr ->
+      ab fr;
+      Array.unsafe_set fr.f d (Array.unsafe_get fr.f (d + 1) *. Array.unsafe_get fr.f d)
+  | Prog.Ediv (a, b) ->
+    let ab = operands a b in
+    fun fr ->
+      ab fr;
+      Array.unsafe_set fr.f d (Array.unsafe_get fr.f (d + 1) /. Array.unsafe_get fr.f d)
   | Prog.Emin (a, b) ->
-    Float.min (eval_expr ctx s iters a) (eval_expr ctx s iters b)
+    let ab = operands a b in
+    fun fr ->
+      ab fr;
+      Array.unsafe_set fr.f d (Float.min (Array.unsafe_get fr.f (d + 1)) (Array.unsafe_get fr.f d))
   | Prog.Emax (a, b) ->
-    Float.max (eval_expr ctx s iters a) (eval_expr ctx s iters b)
+    let ab = operands a b in
+    fun fr ->
+      ab fr;
+      Array.unsafe_set fr.f d (Float.max (Array.unsafe_get fr.f (d + 1)) (Array.unsafe_get fr.f d))
 
-let exec_body ctx (s : Prog.stmt) iters =
-  (match s.Prog.body with
-   | None -> ()
-   | Some (lhs, rhs) ->
-     let v = eval_expr ctx s iters rhs in
-     write_access ctx s lhs iters v);
-  ctx.c.flops <-
-    ctx.c.flops +. float_of_int (Hashtbl.find ctx.flops_of s.Prog.id)
+(* one instance of [s] with its iterators in [sc]'s "#i" slots *)
+let compile_body st sc (s : Prog.stmt) flops : frame -> unit =
+  match s.Prog.body with
+  | None -> fun fr -> fr.c.flops <- fr.c.flops +. flops
+  | Some (lhs, rhs) ->
+    let r = compile_expr st sc s rhs 0 in
+    let w = write_access st sc s lhs 0 in
+    fun fr ->
+      r fr;
+      w fr;
+      fr.c.flops <- fr.c.flops +. flops
 
-let exec_stmt_call ctx stmt_id iter_args =
-  let s =
-    match Hashtbl.find_opt ctx.stmts stmt_id with
-    | Some s -> s
-    | None -> invalid_arg (Printf.sprintf "Exec: unknown statement %d" stmt_id)
-  in
-  let iters = Array.map (eval_aexpr ctx) iter_args in
-  exec_body ctx s iters
+let bind_iters st sc n =
+  let rec go sc i = if i = n then sc else go (fst (bind st sc (iter_name i))) (i + 1) in
+  let sc' = go sc 0 in
+  (sc', sc.next)
 
-(* Count the thread blocks of a launch: product of the trip counts of
-   the outermost chain of Block loops (each evaluated at its outer
-   loop's first iteration). *)
-let rec grid_size ctx (l : Ast.loop) =
-  let lb = eval_aexpr ctx l.Ast.lb and ub = eval_aexpr ctx l.Ast.ub in
-  let trip =
-    let d = Zint.sub ub lb in
-    if Zint.is_negative d then 0.0
-    else Zint.to_float (Zint.add (Zint.fdiv d l.Ast.step) Zint.one)
-  in
+(* --- statements ----------------------------------------------------- *)
+
+let seq (fs : (frame -> unit) list) : frame -> unit =
+  match fs with
+  | [] -> fun _ -> ()
+  | [ f ] -> f
+  | [ f; g ] -> fun fr -> f fr; g fr
+  | _ ->
+    let a = Array.of_list fs in
+    fun fr ->
+      for i = 0 to Array.length a - 1 do
+        (Array.unsafe_get a i) fr
+      done
+
+let record_copy fr dst src =
+  fr.dma_copies <- fr.dma_copies +. 1.0;
+  let dst_local = Memory.buf_is_local fr.bufs.(dst) in
+  let src_local = Memory.buf_is_local fr.bufs.(src) in
+  if dst_local && not src_local then fr.dma_in.(dst) <- fr.dma_in.(dst) +. 1.0
+  else if src_local && not dst_local then fr.dma_out.(src) <- fr.dma_out.(src) +. 1.0
+
+(* Block count of a launch: product of the trip counts of the outermost
+   chain of Block loops, each inner level evaluated at its outer
+   loop's first iteration. *)
+let rec compile_grid st sc (l : Ast.loop) : frame -> float =
+  (* once per launch: exact arithmetic is cheap enough *)
+  let lb = slow st sc l.Ast.lb and ub = slow st sc l.Ast.ub in
+  let step = l.Ast.step in
   let inner =
     match l.Ast.body with
     | [ Ast.Loop ({ par = Ast.Block; _ } as l') ] ->
-      Hashtbl.replace ctx.env l.Ast.var lb;
-      let g = grid_size ctx l' in
-      Hashtbl.remove ctx.env l.Ast.var;
-      g
-    | _ -> 1.0
+      let sc', k = bind st sc l.Ast.var in
+      let g = compile_grid st sc' l' in
+      fun fr lbv ->
+        fr.v.(k) <- Zint.to_int_exn lbv;
+        g fr
+    | _ -> fun _ _ -> 1.0
   in
-  trip *. inner
+  fun fr ->
+    let lbv = lb fr.v and ubv = ub fr.v in
+    let trip =
+      let d = Zint.sub ubv lbv in
+      if Zint.is_negative d then 0.0
+      else Zint.to_float (Zint.add (Zint.fdiv d step) Zint.one)
+    in
+    trip *. inner fr lbv
 
-(* per-group movement attribution: a Copy between global memory and a
-   local buffer is one staged word moving in (global -> local) or out
-   (local -> global).  Exact under [Full] mode; [Sampled] runs only
-   record the iterations they actually execute.  Tallied into the
-   context (never straight into Metrics — see [dma_tally]). *)
-let record_copy ctx (dst : Ast.ref_expr) (src : Ast.ref_expr) =
-  let bump tbl name =
-    match Hashtbl.find_opt tbl name with
-    | Some r -> r := !r +. 1.0
-    | None -> Hashtbl.replace tbl name (ref 1.0)
+let rec conds_hold (cs : (int array -> bool) array) v i =
+  i = Array.length cs || ((Array.unsafe_get cs i) v && conds_hold cs v (i + 1))
+
+let rec compile_stm st sc (s : Ast.stm) : (frame -> unit) option =
+  match s with
+  | Ast.Comment _ -> None
+  | Ast.Sync -> Some (fun fr -> fr.c.syncs <- fr.c.syncs +. 1.0)
+  | Ast.Fence ->
+    Some
+      (fun fr ->
+        fr.c.syncs <- fr.c.syncs +. 1.0;
+        fr.c.fences <- fr.c.fences +. 1.0)
+  | Ast.Guard (conds, body) ->
+    let cs = Array.of_list (List.map (cond_expr st sc) conds) in
+    let b = compile_block st sc body in
+    Some (fun fr -> if conds_hold cs fr.v 0 then b fr)
+  | Ast.Copy { dst; src } ->
+    let rd = read_ref st sc src 0 and wr = write_ref st sc dst 0 in
+    let d = buf_id st (dst.Ast.array, false) and s = buf_id st (src.Ast.array, false) in
+    Some
+      (fun fr ->
+        rd fr;
+        wr fr;
+        if fr.collect_dma then record_copy fr d s)
+  | Ast.Stmt_call { stmt_id; iter_args } ->
+    (* call sites that agree on the statement, its arguments and the
+       scope share one compiled body (an instance harness has many) *)
+    let key = (stmt_id, iter_args, sc.vars, sc.next) in
+    (match Hashtbl.find_opt st.calls key with
+     | Some f -> Some f
+     | None ->
+       let f = compile_call st sc stmt_id iter_args in
+       Hashtbl.replace st.calls key f;
+       Some f)
+  | Ast.Loop l -> Some (compile_loop st sc l)
+
+and compile_call st sc stmt_id iter_args =
+  match Hashtbl.find_opt st.sess.s_stmts stmt_id with
+  | None -> fun _ -> invalid_arg (Printf.sprintf "Exec: unknown statement %d" stmt_id)
+  | Some (stmt, _) when Array.length iter_args < stmt.Prog.depth ->
+    fun _ -> invalid_arg "index out of bounds"
+  | Some (stmt, flops) ->
+    let n = Array.length iter_args in
+    let args = Array.map (int_expr st sc) iter_args in
+    let sc', base = bind_iters st sc n in
+    let body = compile_body st sc' stmt flops in
+    fun fr ->
+      for i = 0 to n - 1 do
+        Array.unsafe_set fr.v (base + i) ((Array.unsafe_get args i) fr.v)
+      done;
+      body fr
+
+and compile_block st sc stms = seq (List.filter_map (compile_stm st sc) stms)
+
+and compile_loop st sc (l : Ast.loop) =
+  let lb = int_expr st sc l.Ast.lb and ub = int_expr st sc l.Ast.ub in
+  let grid = if l.Ast.par = Ast.Block then Some (compile_grid st sc l) else None in
+  let sc', k = bind st sc l.Ast.var in
+  let body = compile_block st sc' l.Ast.body in
+  let step_z = l.Ast.step and step_n = Zint.to_int_opt l.Ast.step in
+  let run_at fr x =
+    Array.unsafe_set fr.v k x;
+    body fr
   in
-  ctx.dma.dma_copies <- ctx.dma.dma_copies +. 1.0;
-  let dst_local = Memory.is_local ctx.memory dst.Ast.array in
-  let src_local = Memory.is_local ctx.memory src.Ast.array in
-  if dst_local && not src_local then bump ctx.dma.dma_in dst.Ast.array
-  else if src_local && not dst_local then bump ctx.dma.dma_out src.Ast.array
+  let iterate fr =
+    let lbv = lb fr.v and ubv = ub fr.v in
+    if lbv <= ubv then begin
+      let step = match step_n with Some n -> n | None -> Zint.to_int_exn step_z in
+      let trip = trip_count lbv ubv step in
+      match fr.mode with
+      | Sampled threshold when trip >= threshold && trip > 2 ->
+        (* first + last, trapezoid rule for the middle *)
+        let before = copy_counters fr.c in
+        let launches_before = List.length fr.launches in
+        run_at fr lbv;
+        let launches_first =
+          (* launches triggered by the first iteration (freshly
+             prepended) must also be replicated for the middle *)
+          let fresh = List.length fr.launches - launches_before in
+          List.filteri (fun i _ -> i < fresh) fr.launches
+        in
+        run_at fr (add_c lbv (mul_c step (trip - 1)));
+        let after_last = copy_counters fr.c in
+        let mid = scale_counters (sub_counters after_last before) 0.5 in
+        add_scaled fr.c mid (float_of_int (trip - 2));
+        fr.launches <-
+          List.map
+            (fun ln -> { ln with repeat = ln.repeat *. float_of_int (trip - 2) })
+            launches_first
+          @ fr.launches
+      | Sampled _ | Full ->
+        let x = ref lbv in
+        for i = 1 to trip do
+          run_at fr !x;
+          if i < trip then x := !x + step
+        done
+    end
+  in
+  match grid with
+  | None -> iterate
+  | Some grid ->
+    fun fr ->
+      if fr.in_launch then iterate fr
+      else begin
+        let g = grid fr in
+        Emsc_obs.Prof.probe "exec.launch" ~args:[ ("grid", Emsc_obs.Json.Float g) ]
+        @@ fun () ->
+        let before = copy_counters fr.c in
+        fr.in_launch <- true;
+        iterate fr;
+        fr.in_launch <- false;
+        let delta = sub_counters fr.c before in
+        Emsc_obs.Prof.add "launch.flops" delta.flops;
+        Emsc_obs.Prof.add "launch.global" (total_global delta);
+        Emsc_obs.Prof.add "launch.smem" (total_smem delta);
+        Emsc_obs.Prof.add "launch.syncs" delta.syncs;
+        if g > 0.0 then
+          fr.launches <-
+            { grid = g; per_block = scale_counters delta (1.0 /. g); repeat = 1.0 }
+            :: fr.launches
+      end
+
+(* ------------------------------------------------------------------ *)
+(* Sessions                                                            *)
+
+(* The rewrite is consulted only while staging, on one domain: memoised
+   per statement and access. *)
+let session ~prog ?local_ref ~param_env () =
+  let stmts = Hashtbl.create 8 in
+  List.iter (fun (s : Prog.stmt) ->
+    let f = match s.Prog.body with None -> 0 | Some (_, rhs) -> 1 + expr_flops rhs in
+    Hashtbl.replace stmts s.Prog.id (s, float_of_int f))
+    prog.Prog.stmts;
+  let rewrite =
+    match local_ref with
+    | None -> fun _ _ -> None
+    | Some f ->
+      let cache = Hashtbl.create 64 in
+      fun (s : Prog.stmt) (a : Prog.access) ->
+        let key = (s.Prog.id, Obj.repr a) in
+        match Hashtbl.find_opt cache key with
+        | Some r -> r
+        | None ->
+          let r = f s a in
+          Hashtbl.replace cache key r;
+          r
+  in
+  { s_prog = prog; s_stmts = stmts; s_rewrite = rewrite; s_param_env = param_env;
+    s_params = Hashtbl.create 8; s_staged = [] }
+
+let stager sess =
+  { sess; high = 0; buf_ids = Hashtbl.create 8; buf_list = []; ranks = 0; regs = 0;
+    calls = Hashtbl.create 8 }
+
+let finish st ~n_inputs code =
+  Emsc_obs.Prof.add "exec.stagings" 1.0;
+  { code; n_inputs; n_slots = st.high; arrays = Array.of_list (List.rev st.buf_list);
+    max_rank = st.ranks; n_regs = st.regs }
+
+let stage_fresh sess ~bound stms =
+  let st = stager sess in
+  (* later bindings shadow earlier ones of the same name *)
+  let sc = List.fold_left (fun sc n -> fst (bind st sc n)) { vars = []; next = 0 } bound in
+  let code = compile_block st sc stms in
+  finish st ~n_inputs:(List.length bound) code
+
+let stage sess ~bound stms =
+  match
+    List.find_opt (fun (b, s, _) -> b = bound && List.equal ( == ) s stms) sess.s_staged
+  with
+  | Some (_, _, staged) -> staged
+  | None ->
+    let staged = stage_fresh sess ~bound stms in
+    sess.s_staged <- (bound, stms, staged) :: sess.s_staged;
+    staged
+
+let make_frame staged ~memory ~mode ~on_global ~collect_dma ~in_launch =
+  let n = Array.length staged.arrays in
+  { v = Array.make (max 1 staged.n_slots) 0;
+    bufs =
+      Array.map (fun (name, global) ->
+        if global then Memory.global_buf memory name else Memory.buf memory name)
+        staged.arrays;
+    idx = Array.init (staged.max_rank + 1) (fun r -> Array.make r 0);
+    f = Array.make (max 1 staged.n_regs) 0.0;
+    c = fresh (); mode;
+    hook = (match mode with Full -> on_global | Sampled _ -> None);
+    collect_dma; dma_copies = 0.0; dma_in = Array.make n 0.0;
+    dma_out = Array.make n 0.0; in_launch; launches = [] }
+
+let block_dma staged fr =
+  let tally t =
+    List.sort compare
+      (List.filter_map (fun i ->
+         if t.(i) > 0.0 then Some (fst staged.arrays.(i), t.(i)) else None)
+         (List.init (Array.length t) Fun.id))
+  in
+  { copies = fr.dma_copies; moved_in = tally fr.dma_in; moved_out = tally fr.dma_out }
 
 (* flush a movement tally into Metrics; main domain only *)
 let flush_dma_metrics (d : block_dma) =
@@ -306,19 +799,19 @@ let flush_dma_metrics (d : block_dma) =
 
 (* whole-run totals and scratchpad occupancy, recorded once per run:
    O(1) regardless of program size, and one boolean when disabled *)
-let record_run_metrics ctx =
+let record_run_metrics staged fr memory =
   if Emsc_obs.Metrics.enabled () then begin
     let open Emsc_obs in
-    flush_dma_metrics (block_dma_of_tally ctx.dma);
+    flush_dma_metrics (block_dma staged fr);
     Metrics.counter "exec.runs" 1.0;
-    Metrics.counter "exec.flops" ctx.c.flops;
-    Metrics.counter "exec.global_loads" ctx.c.g_ld;
-    Metrics.counter "exec.global_stores" ctx.c.g_st;
-    Metrics.counter "exec.smem_loads" ctx.c.s_ld;
-    Metrics.counter "exec.smem_stores" ctx.c.s_st;
-    Metrics.counter "exec.syncs" ctx.c.syncs;
-    Metrics.counter "exec.fences" ctx.c.fences;
-    let occ = Memory.local_occupancy ctx.memory in
+    Metrics.counter "exec.flops" fr.c.flops;
+    Metrics.counter "exec.global_loads" fr.c.g_ld;
+    Metrics.counter "exec.global_stores" fr.c.g_st;
+    Metrics.counter "exec.smem_loads" fr.c.s_ld;
+    Metrics.counter "exec.smem_stores" fr.c.s_st;
+    Metrics.counter "exec.syncs" fr.c.syncs;
+    Metrics.counter "exec.fences" fr.c.fences;
+    let occ = Memory.local_occupancy memory in
     List.iter (fun (name, cells) ->
       Metrics.gauge_max ~labels:[ ("buffer", name) ]
         "exec.scratchpad_occupancy_words" (float_of_int cells))
@@ -328,192 +821,53 @@ let record_run_metrics ctx =
         (float_of_int (List.fold_left (fun a (_, c) -> a + c) 0 occ))
   end
 
-let rec exec_stm ctx (s : Ast.stm) =
-  match s with
-  | Ast.Loop l -> exec_loop ctx l
-  | Ast.Guard (conds, body) ->
-    if
-      List.for_all (fun c -> not (Zint.is_negative (eval_aexpr ctx c))) conds
-    then List.iter (exec_stm ctx) body
-  | Ast.Stmt_call { stmt_id; iter_args } -> exec_stmt_call ctx stmt_id iter_args
-  | Ast.Copy { dst; src } ->
-    let v = read_ref ctx src in
-    write_ref ctx dst v;
-    if ctx.collect_dma then record_copy ctx dst src
-  | Ast.Sync -> ctx.c.syncs <- ctx.c.syncs +. 1.0
-  | Ast.Fence ->
-    ctx.c.syncs <- ctx.c.syncs +. 1.0;
-    ctx.c.fences <- ctx.c.fences +. 1.0
-  | Ast.Comment _ -> ()
-
-and exec_loop ctx (l : Ast.loop) =
-  let starts_launch = l.Ast.par = Ast.Block && not ctx.in_launch in
-  if starts_launch then begin
-    let grid = grid_size ctx l in
-    Emsc_obs.Prof.probe "exec.launch"
-      ~args:[ ("grid", Emsc_obs.Json.Float grid) ]
-    @@ fun () ->
-    let before = copy_counters ctx.c in
-    ctx.in_launch <- true;
-    exec_loop_body ctx l;
-    ctx.in_launch <- false;
-    let delta = sub_counters ctx.c before in
-    Emsc_obs.Prof.add "launch.flops" delta.flops;
-    Emsc_obs.Prof.add "launch.global" (total_global delta);
-    Emsc_obs.Prof.add "launch.smem" (total_smem delta);
-    Emsc_obs.Prof.add "launch.syncs" delta.syncs;
-    if grid > 0.0 then
-      ctx.launches <-
-        { grid; per_block = scale_counters delta (1.0 /. grid); repeat = 1.0 }
-        :: ctx.launches
-  end
-  else exec_loop_body ctx l
-
-and exec_loop_body ctx (l : Ast.loop) =
-  let lb = eval_aexpr ctx l.Ast.lb and ub = eval_aexpr ctx l.Ast.ub in
-  if Zint.compare lb ub <= 0 then begin
-    let trip =
-      Zint.to_int_exn (Zint.add (Zint.fdiv (Zint.sub ub lb) l.Ast.step) Zint.one)
-    in
-    let saved = Hashtbl.find_opt ctx.env l.Ast.var in
-    let run_at v =
-      Hashtbl.replace ctx.env l.Ast.var v;
-      List.iter (exec_stm ctx) l.Ast.body
-    in
-    (match ctx.mode with
-     | Sampled threshold when trip >= threshold && trip > 2 ->
-       (* first + last, trapezoid rule for the middle *)
-       let before = copy_counters ctx.c in
-       let launches_before = List.length ctx.launches in
-       run_at lb;
-       let launches_first =
-         (* launches triggered by the first iteration (freshly
-            prepended) must also be replicated for the middle *)
-         let fresh = List.length ctx.launches - launches_before in
-         List.filteri (fun i _ -> i < fresh) ctx.launches
-       in
-       let last = Zint.add lb (Zint.mul l.Ast.step (Zint.of_int (trip - 1))) in
-       run_at last;
-       let after_last = copy_counters ctx.c in
-       let mid = scale_counters (sub_counters after_last before) 0.5 in
-       add_scaled ctx.c mid (float_of_int (trip - 2));
-       ctx.launches <-
-         List.map
-           (fun ln -> { ln with repeat = ln.repeat *. float_of_int (trip - 2) })
-           launches_first
-         @ ctx.launches
-     | Sampled _ | Full ->
-       let v = ref lb in
-       for _ = 1 to trip do
-         run_at !v;
-         v := Zint.add !v l.Ast.step
-       done);
-    (match saved with
-     | Some v -> Hashtbl.replace ctx.env l.Ast.var v
-     | None -> Hashtbl.remove ctx.env l.Ast.var)
-  end
-
-let prepare_tables prog =
-  let stmts = Hashtbl.create 8 in
-  let flops_of = Hashtbl.create 8 in
-  List.iter (fun (s : Prog.stmt) ->
-    Hashtbl.replace stmts s.Prog.id s;
-    let f =
-      match s.Prog.body with
-      | None -> 0
-      | Some (_, rhs) -> 1 + expr_flops rhs
-    in
-    Hashtbl.replace flops_of s.Prog.id f)
-    prog.Prog.stmts;
-  (stmts, flops_of)
-
-type session = {
-  s_prog : Prog.t;
-  s_stmts : (int, Prog.stmt) Hashtbl.t;
-  s_flops_of : (int, int) Hashtbl.t;
-  s_rewrite : Prog.stmt -> Prog.access -> Ast.ref_expr option;
-  s_param_env : string -> Zint.t;
-}
-
-let rec expr_accesses acc = function
-  | Prog.Eref a -> a :: acc
-  | Prog.Eiter _ | Prog.Eparam _ | Prog.Econst _ -> acc
-  | Prog.Eneg e | Prog.Eabs e -> expr_accesses acc e
-  | Prog.Eadd (a, b) | Prog.Esub (a, b) | Prog.Emul (a, b)
-  | Prog.Ediv (a, b) | Prog.Emin (a, b) | Prog.Emax (a, b) ->
-    expr_accesses (expr_accesses acc a) b
-
-(* The rewrite memo must be safe to consult from many domains at once,
-   so it is filled eagerly here — every access the interpreter can
-   reach lives in some statement body, all enumerable up front — and
-   never mutated afterwards (concurrent reads of an unchanging Hashtbl
-   are safe).  A miss (structurally fresh access) falls through to [f]
-   without caching. *)
-let session ~prog ?local_ref ~param_env () =
-  let stmts, flops_of = prepare_tables prog in
-  let rewrite =
-    match local_ref with
-    | None -> fun _ _ -> None
-    | Some f ->
-      let cache = Hashtbl.create 64 in
-      List.iter (fun (s : Prog.stmt) ->
-        match s.Prog.body with
-        | None -> ()
-        | Some (lhs, rhs) ->
-          List.iter (fun (a : Prog.access) ->
-            let key = (s.Prog.id, Obj.repr a) in
-            if not (Hashtbl.mem cache key) then
-              Hashtbl.replace cache key (f s a))
-            (expr_accesses [ lhs ] rhs))
-        prog.Prog.stmts;
-      fun (s : Prog.stmt) (a : Prog.access) ->
-        match Hashtbl.find_opt cache (s.Prog.id, Obj.repr a) with
-        | Some r -> r
-        | None -> f s a
-  in
-  { s_prog = prog; s_stmts = stmts; s_flops_of = flops_of;
-    s_rewrite = rewrite; s_param_env = param_env }
-
-let make_ctx session ~memory ~mode ~on_global ~collect_dma ~in_launch =
-  { prog = session.s_prog; stmts = session.s_stmts;
-    flops_of = session.s_flops_of; rewrite = session.s_rewrite;
-    param_env = session.s_param_env; memory; env = Hashtbl.create 32;
-    c = fresh (); mode; on_global; collect_dma; dma = fresh_dma ();
-    in_launch; launches = [] }
-
-type block_outcome = {
-  b_counters : counters;
-  b_dma : block_dma;
-}
-
-let run_block session ~memory ?(mode = Full) ?on_global
-    ?(collect_dma = false) ~bindings stms =
-  let ctx =
-    (* [in_launch] pre-set: the block body's own Block loops are plain
-       loops here (the caller owns launch bookkeeping), and neither
-       Prof nor Metrics is touched — safe on a worker domain *)
-    make_ctx session ~memory ~mode ~on_global ~collect_dma ~in_launch:true
-  in
-  List.iter (fun (n, v) -> Hashtbl.replace ctx.env n v) bindings;
-  List.iter (exec_stm ctx) stms;
-  { b_counters = ctx.c; b_dma = block_dma_of_tally ctx.dma }
+let run_block staged ~memory ?(mode = Full) ?on_global ?(collect_dma = false) inputs =
+  if Array.length inputs <> staged.n_inputs then
+    invalid_arg "Exec.run_block: one value per bound name";
+  (* [in_launch] pre-set: the block body's own Block loops are plain
+     loops here (the caller owns launch bookkeeping), and neither Prof
+     nor Metrics is touched — safe on a worker domain *)
+  let fr = make_frame staged ~memory ~mode ~on_global ~collect_dma ~in_launch:true in
+  Array.blit inputs 0 fr.v 0 staged.n_inputs;
+  staged.code fr;
+  { b_counters = fr.c; b_dma = block_dma staged fr }
 
 let run ~prog ?local_ref ~param_env ~memory ?(mode = Full) ?on_global stms =
-  let session = session ~prog ?local_ref ~param_env () in
-  let ctx =
-    make_ctx session ~memory ~mode ~on_global
+  let staged = stage_fresh (session ~prog ?local_ref ~param_env ()) ~bound:[] stms in
+  let fr =
+    make_frame staged ~memory ~mode ~on_global
       ~collect_dma:(Emsc_obs.Metrics.enabled ()) ~in_launch:false
   in
-  List.iter (exec_stm ctx) stms;
-  record_run_metrics ctx;
-  { totals = ctx.c; launches = List.rev ctx.launches }
+  staged.code fr;
+  record_run_metrics staged fr memory;
+  { totals = fr.c; launches = List.rev fr.launches }
 
-let run_instances ~prog ~param_env ~memory ?on_global insts =
-  let session = session ~prog ~param_env () in
-  let ctx =
-    make_ctx session ~memory ~mode:Full ~on_global
+let run_instances ~prog ~param_env ~memory ?on_global iter =
+  let sess = session ~prog ~param_env () in
+  let st = stager sess in
+  let bodies = Hashtbl.create 8 in
+  Hashtbl.iter (fun id ((s : Prog.stmt), flops) ->
+    let sc, _ = bind_iters st { vars = []; next = 0 } s.Prog.depth in
+    Hashtbl.replace bodies id (compile_body st sc s flops))
+    sess.s_stmts;
+  (* the bodies run directly; the staged record only sizes the frame *)
+  let staged = finish st ~n_inputs:0 (fun _ -> ()) in
+  let fr =
+    make_frame staged ~memory ~mode:Full ~on_global
       ~collect_dma:(Emsc_obs.Metrics.enabled ()) ~in_launch:false
   in
-  List.iter (fun (s, iters) -> exec_body ctx s iters) insts;
-  record_run_metrics ctx;
-  ctx.c
+  (* consecutive instances mostly share their statement *)
+  let last = ref (-1, fun _ -> ()) in
+  iter (fun (s : Prog.stmt) (iters : int array) ->
+    for i = 0 to s.Prog.depth - 1 do
+      Array.unsafe_set fr.v i iters.(i)
+    done;
+    let id, body = !last in
+    if id = s.Prog.id then body fr
+    else begin
+      let body = Hashtbl.find bodies s.Prog.id in
+      last := (s.Prog.id, body);
+      body fr
+    end);
+  record_run_metrics staged fr memory;
+  fr.c

@@ -1,4 +1,15 @@
-(** AST interpreter with event accounting.
+(** The executor: runs kernel ASTs on the simulated machine with event
+    accounting.
+
+    Code is staged before it runs: each [Ast.stm] list compiles once
+    into immutable closures over a frame of native-int slots.  Loop
+    variables, statement iterators and names bound from outside become
+    slot indices, parameters become constants, and array names resolve
+    to memory handles when a frame is made.  Index and bound arithmetic
+    is overflow-checked: a step that overflows is redone exactly in
+    {!Zint}, and a value that does not fit a native [int] raises the
+    [Failure] of {!Zint.to_int_exn} instead of wrapping.  Loop bounds
+    and steps must therefore fit a native [int].
 
     Two fidelities:
     - [Full]: every iteration executes; array contents are exact (used
@@ -78,10 +89,12 @@ val run_instances :
   param_env:(string -> Zint.t) ->
   memory:Memory.t ->
   ?on_global:(string -> int -> [ `Ld | `St ] -> unit) ->
-  (Prog.stmt * Zint.t array) list ->
+  ((Prog.stmt -> int array -> unit) -> unit) ->
   counters
-(** Execute explicit statement instances (reference path): exact
-    semantics, no rewriting, [Full] fidelity. *)
+(** [run_instances ... iter] executes the statement instances [iter]
+    passes to its argument, in that order (reference path): exact
+    semantics, no rewriting, [Full] fidelity.  Each statement body is
+    staged once; the iterator array may be reused between calls. *)
 
 val expr_flops : Prog.expr -> int
 
@@ -90,9 +103,10 @@ val expr_flops : Prog.expr -> int
     The parallel runtime ([Emsc_runtime]) executes one thread block at
     a time, each on its own domain with its own memory view.  A
     [session] packages everything shareable across blocks: the
-    statement tables and an eagerly-filled access-rewrite memo that is
-    never mutated after construction, hence safe to consult from many
-    domains concurrently. *)
+    statement tables, the access rewrite, and the code staged so far.
+    Staging happens on the calling domain; the staged code is immutable
+    and shared read-only by every worker, each running it in its own
+    frame. *)
 
 type session
 
@@ -102,6 +116,17 @@ val session :
   param_env:(string -> Zint.t) ->
   unit ->
   session
+
+type staged
+(** Code staged for one statement list and one list of bound names. *)
+
+val stage : session -> bound:string list -> Emsc_codegen.Ast.stm list -> staged
+(** [stage s ~bound stms] compiles [stms] with [bound] (later names
+    shadow earlier ones) taken from the values {!run_block} is given.
+    Memoised per session on [bound] and the physical identity of the
+    statements, so re-staging the same phase is a lookup; each actual
+    compilation bumps the [Prof] counter [exec.stagings].  Not
+    domain-safe: stage from one domain. *)
 
 type block_dma = {
   copies : float;          (** staged copies executed *)
@@ -116,22 +141,22 @@ type block_outcome = {
 }
 
 val run_block :
-  session ->
+  staged ->
   memory:Memory.t ->
   ?mode:mode ->
   ?on_global:(string -> int -> [ `Ld | `St ] -> unit) ->
   ?collect_dma:bool ->
-  bindings:(string * Zint.t) list ->
-  Emsc_codegen.Ast.stm list ->
+  int array ->
   block_outcome
-(** Execute statements under the given loop-variable [bindings] with a
-    fresh counter set.  Never touches [Metrics] or [Prof] (safe on a
-    worker domain); movement is tallied into the outcome when
-    [collect_dma] is set.  Block loops inside [stms] are treated as
-    plain loops — launch bookkeeping belongs to the caller. *)
+(** Execute staged code in a fresh frame, the bound names taking the
+    given values (one per name, in order), with a fresh counter set.
+    Never touches [Metrics] or [Prof] (safe on a worker domain);
+    movement is tallied into the outcome when [collect_dma] is set.
+    Block loops inside the code are treated as plain loops — launch
+    bookkeeping belongs to the caller. *)
 
 val flush_dma_metrics : block_dma -> unit
 (** Flush a movement tally into the [Metrics] registry under the same
-    names the sequential interpreter uses ([exec.copies],
+    names the sequential executor uses ([exec.copies],
     [exec.move_in_words]/[exec.move_out_words] per buffer).  Call from
     the main domain only. *)

@@ -1,6 +1,8 @@
 (** Simulated memory: flat float arrays for the program's global
     arrays, hash-backed sparse storage for scratchpad buffers (their
-    live window shifts with the tile origin). *)
+    live window shifts with the tile origin).  A scratchpad cell is
+    keyed by its index tuple stored inline, so reads and writes
+    allocate nothing; a buffer's rank is fixed by its first write. *)
 
 open Emsc_arith
 open Emsc_ir
@@ -29,6 +31,35 @@ val flat_index : t -> string -> int array -> int
 
 val base_address : t -> string -> int
 (** Word address of the array in a virtual address space. *)
+
+(** {2 Resolved arrays}
+
+    The executor resolves each array name once per run to a [buf] and
+    then reads and writes through it without name lookups. *)
+
+type buf
+
+val buf : t -> string -> buf
+(** The local buffer of that name if one is declared, else the global
+    array.  Never fails: an unknown name fails on first access, with
+    the error {!read_global} gives. *)
+
+val global_buf : t -> string -> buf
+(** The global array of that name, even when a local buffer shares
+    it. *)
+
+val buf_is_local : buf -> bool
+
+val buf_load : buf -> int array -> float array -> int -> unit
+(** [buf_load b idx dst k] reads the cell at [idx] into [dst.(k)];
+    through a float array the value is never boxed. *)
+
+val buf_store : buf -> int array -> float array -> int -> unit
+(** [buf_store b idx src k] writes [src.(k)] to the cell at [idx]. *)
+
+val buf_address : buf -> int array -> int
+(** [base_address + flat_index] of a global array; fails on a local
+    buffer. *)
 
 val global_data : t -> string -> float array
 val dims : t -> string -> int array

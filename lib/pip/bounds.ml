@@ -17,10 +17,11 @@ let truncate_expr j (row : Vec.t) =
   e.(j + 1) <- row.(n);
   e
 
-let loop_bounds p =
+let loop_bounds ?(reduce = true) p =
+  let reduce p = if reduce then Poly.remove_redundant p else p in
   let dim = Poly.dim p in
   let levels = Array.make dim { lowers = []; uppers = [] } in
-  let cur = ref (Poly.remove_redundant p) in
+  let cur = ref (reduce p) in
   for j = dim - 1 downto 0 do
     let lowers, uppers = Poly.dim_bound_pairs !cur j in
     (* at this point !cur has dimension j+1, so every bound row only
@@ -30,7 +31,7 @@ let loop_bounds p =
         lowers = List.map (fun (a, e) -> (a, truncate_expr j e)) lowers;
         uppers = List.map (fun (a, e) -> (a, truncate_expr j e)) uppers;
       };
-    cur := Poly.remove_redundant (Poly.eliminate_dim !cur j)
+    cur := reduce (Poly.eliminate_dim !cur j)
   done;
   levels
 

@@ -21,12 +21,17 @@ type level = {
       (** [(a, e)] encodes [x_j <= floor(e / a)] with [a > 0]. *)
 }
 
-val loop_bounds : Poly.t -> level array
+val loop_bounds : ?reduce:bool -> Poly.t -> level array
 (** [loop_bounds p] computes, for each dimension [j] of [p] in order,
     the bounds of [x_j] in terms of earlier dimensions only.  Each
     intermediate projection is redundancy-reduced so the generated
     [min]/[max] bound sets stay small.  A dimension whose bound set is
-    empty on one side is unbounded there. *)
+    empty on one side is unbounded there.
+
+    [~reduce:false] skips the redundancy reduction, which costs LPs:
+    the bounds stay exact (Fourier–Motzkin is exact on rational
+    projections and [Poly]'s normalisation keeps every integer point)
+    but may list redundant entries.  Pure elimination, no LP. *)
 
 val context : Poly.t -> Poly.t
 (** The 0-dimensional residue of eliminating every dimension: trivially

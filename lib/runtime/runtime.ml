@@ -82,7 +82,7 @@ let rec contains_block (s : Ast.stm) =
   | Ast.Copy _ | Ast.Sync | Ast.Fence | Ast.Stmt_call _ | Ast.Comment _ ->
     false
 
-(* Mirror [Exec.grid_size]'s launch shape: peel the outermost chain of
+(* Mirror the executor's launch shape: peel the outermost chain of
    singleton Block loops, evaluating each level's bounds under the
    accumulated bindings, and emit one task per grid point in
    sequential order.  Bindings are inner-first. *)
@@ -339,27 +339,21 @@ let merge_outcomes (a : Exec.block_outcome option)
 type launch_slots = {
   launch_id : int;  (* tags events so the report can group by launch *)
   tasks : ((string * Zint.t) list * Ast.stm list) array;
-  host_bindings : (string * Zint.t) list;  (* outer-first *)
+  values : int array array;
+      (* per task, the staged code's bound values: host scope outer
+         first, then the block chain *)
   in_slots : Exec.block_outcome option array;
   core_slots : Exec.block_outcome option array;
   out_slots : Exec.block_outcome option array;
   chan_of : int array;
 }
 
-let task_bindings st i =
-  let task_b, _ = st.tasks.(i) in
-  (* run_block applies bindings in list order (later wins): host outer
-     scope first, then the block chain, innermost last *)
-  st.host_bindings @ List.rev task_b
-
-let run_phase rt st hook i ~memory phase =
-  let bindings = task_bindings st i in
-  Exec.run_block rt.session ~memory ?on_global:(hook i)
-    ~collect_dma:rt.collect_dma ~bindings phase
+let run_phase rt st hook i ~memory code =
+  Exec.run_block code ~memory ?on_global:(hook i) ~collect_dma:rt.collect_dma
+    st.values.(i)
 
 (* run one block body in a caller-supplied arena *)
-let exec_task_in_arena rt st hook w i arena =
-  let _, body = st.tasks.(i) in
+let exec_task_in_arena rt st hook body w i arena =
   let er = ev_ring rt w in
   (match er with
    | Some r when Ev.enabled () ->
@@ -375,11 +369,11 @@ let exec_task_in_arena rt st hook w i arena =
 
 (* simple path: the whole block body runs on the worker in a fresh
    arena *)
-let exec_task_plain rt st hook w i =
+let exec_task_plain rt st hook body w i =
   let er = ev_ring rt w in
   let arena = acquire_arena ?er rt in
   Fun.protect ~finally:(fun () -> Arena.release arena) @@ fun () ->
-  exec_task_in_arena rt st hook w i arena
+  exec_task_in_arena rt st hook body w i arena
 
 (* inter-tile reuse path: tasks are partitioned into chains (runs of
    consecutive blocks that differ only in the innermost block origin);
@@ -391,7 +385,7 @@ let exec_task_plain rt st hook w i =
    Assignment is chain-static ([chain mod jobs]): stealing mid-chain
    would break residency, and the barrier reduction keeps counter
    totals bit-identical regardless of worker count anyway. *)
-let exec_tasks_chained rt st hook chain_id w =
+let exec_tasks_chained rt st hook body chain_id w =
   let n = Array.length st.tasks in
   let jobs = rt.wpool.Pool.jobs in
   let er = ev_ring rt w in
@@ -413,7 +407,7 @@ let exec_tasks_chained rt st hook chain_id w =
         arena := Some (acquire_arena ?er rt);
         prev_chain := c
       end;
-      exec_task_in_arena rt st hook w i (Option.get !arena)
+      exec_task_in_arena rt st hook body w i (Option.get !arena)
     end
   done
 
@@ -525,7 +519,7 @@ let exec_tasks_pipelined rt st hook (ins, core, outs) w next_task =
 
 let exec_launch rt host_bindings (l : Ast.loop) =
   (* host bindings are inner-first while walking (innermost shadows);
-     launch state wants them outer-first for [run_block] *)
+     the staged code binds them outer-first, later names shadowing *)
   let lookup n =
     match List.assoc_opt n host_bindings with
     | Some v -> v
@@ -550,23 +544,34 @@ let exec_launch rt host_bindings (l : Ast.loop) =
     @@ fun () ->
     let launch_id = rt.launch_seq in
     rt.launch_seq <- launch_id + 1;
+    let host = List.rev host_bindings in
+    let scope (b, _) = host @ List.rev b in
+    let stage = Exec.stage rt.session ~bound:(List.map fst (scope tasks.(0))) in
+    let _, body0 = tasks.(0) in
     let st =
-      { launch_id; tasks; host_bindings = List.rev host_bindings;
+      { launch_id; tasks;
+        values =
+          Array.map (fun t ->
+            Array.of_list (List.map (fun (_, v) -> Zint.to_int_exn v) (scope t)))
+            tasks;
         in_slots = Array.make n None; core_slots = Array.make n None;
         out_slots = Array.make n None; chan_of = Array.make n 0 }
     in
     let tracker = if rt.cfg.track_ownership then Some (fresh_tracker ()) else None in
     let hook = block_hook rt tracker in
-    let _, body0 = tasks.(0) in
     (* residency needs the plain path: the pipelined executor releases
        each block's arena after its move-out, which would wipe the
        resident slab between blocks of a chain *)
-    let phases =
-      if
-        rt.cfg.double_buffer && (not rt.cfg.inter_tile_reuse)
-        && Array.length rt.channels > 0
-      then pipeline_phases body0
-      else None
+    let code =
+      match
+        if
+          rt.cfg.double_buffer && (not rt.cfg.inter_tile_reuse)
+          && Array.length rt.channels > 0
+        then pipeline_phases body0
+        else None
+      with
+      | Some (ins, core, outs) -> `Phased (stage ins, stage core, stage outs)
+      | None -> `Whole (stage body0)
     in
     (* the task source is built once per launch — with Work_stealing
        the deques must be shared by every worker *)
@@ -619,21 +624,19 @@ let exec_launch rt host_bindings (l : Ast.loop) =
       if rt.cfg.inter_tile_reuse then Some (chain_ids tasks) else None
     in
     Pool.dispatch rt.wpool (fun w ->
-      match chains with
-      | Some chain_id -> exec_tasks_chained rt st hook chain_id w
-      | None -> (
+      match (code, chains) with
+      | `Phased p, _ -> exec_tasks_pipelined rt st hook p w (next_task w)
+      | `Whole body, Some chain_id -> exec_tasks_chained rt st hook body chain_id w
+      | `Whole body, None ->
         let next = next_task w in
-        match phases with
-        | Some p -> exec_tasks_pipelined rt st hook p w next
-        | None ->
-          let rec drain () =
-            match next () with
-            | None -> ()
-            | Some i ->
-              exec_task_plain rt st hook w i;
-              drain ()
-          in
-          drain ()));
+        let rec drain () =
+          match next () with
+          | None -> ()
+          | Some i ->
+            exec_task_plain rt st hook body w i;
+            drain ()
+        in
+        drain ());
     (match tracker with
      | Some { violation = Some msg; _ } -> raise (Ownership_violation msg)
      | _ -> ());
@@ -668,10 +671,12 @@ let exec_launch rt host_bindings (l : Ast.loop) =
 
 (* host-level statement: no block loop inside, runs on this domain *)
 let exec_host_leaf rt host_bindings (s : Ast.stm) =
-  let bindings = List.rev host_bindings in
+  let host = List.rev host_bindings in
+  let code = Exec.stage rt.session ~bound:(List.map fst host) [ s ] in
   let o =
-    Exec.run_block rt.session ~memory:rt.memory
-      ?on_global:rt.user_hook ~collect_dma:rt.collect_dma ~bindings [ s ]
+    Exec.run_block code ~memory:rt.memory ?on_global:rt.user_hook
+      ~collect_dma:rt.collect_dma
+      (Array.of_list (List.map (fun (_, v) -> Zint.to_int_exn v) host))
   in
   Exec.add_into o.Exec.b_counters rt.totals;
   acc_add rt.run_dma o.Exec.b_dma

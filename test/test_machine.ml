@@ -1,6 +1,9 @@
 (* Machine-layer tests: memory, the cache simulator, the executor's
-   counters and sampled fidelity, the reference executor's schedule
-   order, and timing-model monotonicities. *)
+   counters and sampled fidelity, the staged executor and the
+   Fourier–Motzkin reference enumeration against the legacy
+   interpreter and LP enumeration, overflow-checked index arithmetic,
+   the reference executor's schedule order, and timing-model
+   monotonicities. *)
 
 open Emsc_ir
 open Emsc_codegen
@@ -209,6 +212,193 @@ let test_reference_schedule_order () =
        s2s
    | [] -> Alcotest.fail "no instances")
 
+(* --- staged executor vs the legacy interpreter ----------------------------- *)
+
+let modes = [ ("full", Exec.Full); ("sampled6", Exec.Sampled 6) ]
+
+let check_kernel (k : Exec_diff.kernel) =
+  List.iter (fun (mname, mode) ->
+    Exec_diff.check_same (k.Exec_diff.name ^ " " ^ mname)
+      (Exec_diff.legacy ~mode k) (Exec_diff.staged ~mode k))
+    modes
+
+(* A fixed draw over a fixed index range: a few generated programs
+   take minutes to compile, and this keeps the test's cost bounded. *)
+let qcheck_staged_gen =
+  QCheck.Test.make ~name:"staged == legacy on Gen programs" ~count:40
+    (QCheck.int_range 0 39)
+    (fun i ->
+      List.iter check_kernel (Exec_diff.gen_kernels i);
+      true)
+
+let test_staged_suite () = List.iter check_kernel (Exec_diff.suite_kernels ())
+
+(* --- reference enumeration: Fourier–Motzkin vs LP ------------------------ *)
+
+let same_points (s : Prog.stmt) param_values =
+  let np = Array.length param_values in
+  let lp =
+    List.map (Array.map Emsc_arith.Zint.to_int_exn)
+      (Legacy_interp.Reference.domain_points s ~np ~param_values)
+  in
+  let fm = Reference.domain_points s ~param_values in
+  Alcotest.(check (list (array int))) (s.Prog.name ^ " points") lp fm
+
+let same_reference name prog param_env =
+  let run f =
+    let m = Emsc_driver.Runner.prepare ~memory:Emsc_driver.Runner.Pseudorandom ~param_env prog in
+    let trace = Buffer.create 1024 in
+    let on_global a addr _ = Buffer.add_string trace (a ^ string_of_int addr ^ ";") in
+    let c = f m on_global in
+    ( Emsc_obs.Json.to_string (Exec.counters_json c),
+      Buffer.contents trace,
+      List.map (fun (d : Prog.array_decl) ->
+        Exec_diff.digest_floats (Memory.global_data m d.Prog.array_name))
+        prog.Prog.arrays )
+  in
+  let lc, lt, la =
+    run (fun m on_global ->
+      let c = Legacy_interp.Reference.run prog ~param_env m ~on_global () in
+      { Exec.flops = c.Legacy_interp.flops; g_ld = c.Legacy_interp.g_ld;
+        g_st = c.Legacy_interp.g_st; s_ld = c.Legacy_interp.s_ld;
+        s_st = c.Legacy_interp.s_st; syncs = c.Legacy_interp.syncs;
+        fences = c.Legacy_interp.fences })
+  in
+  let nc, nt, na = run (fun m on_global -> Reference.run prog ~param_env m ~on_global ()) in
+  Alcotest.(check string) (name ^ " counters") lc nc;
+  Alcotest.(check bool) (name ^ " access sequence") true (lt = nt);
+  Alcotest.(check (list string)) (name ^ " arrays") la na;
+  let insts p = List.map (fun ((s : Prog.stmt), it) -> (s.Prog.id, Array.to_list it)) p in
+  Alcotest.(check bool) (name ^ " instance order") true
+    (insts (Legacy_interp.Reference.instances prog ~param_env)
+     = insts (Reference.instances prog ~param_env))
+
+let qcheck_reference_gen =
+  QCheck.Test.make ~name:"FM enumeration == LP enumeration on Gen programs" ~count:40
+    (QCheck.int_range 0 999)
+    (fun i ->
+      let spec = Emsc_check.Gen.generate (Random.State.make [| 11; i |]) in
+      let prog = Emsc_check.Gen.materialize spec in
+      let param_env = Emsc_check.Gen.param_env spec in
+      let values = Array.map param_env prog.Prog.params in
+      List.iter (fun s -> same_points s values) prog.Prog.stmts;
+      same_reference (Printf.sprintf "gen#%d" i) prog param_env;
+      true)
+
+let test_reference_suite () =
+  List.iter (fun (name, (c : Emsc_driver.Pipeline.compiled)) ->
+    let prog = c.Emsc_driver.Pipeline.prog in
+    let env = Emsc_driver.Runner.zero_env in
+    List.iter (fun s -> same_points s (Array.map env prog.Prog.params)) prog.Prog.stmts;
+    same_reference name prog env)
+    (Lazy.force Exec_diff.suite)
+
+(* hand-made domains over one parameter n: a triangle 0 <= j <= i < n
+   (parametric, empty at n = 0), a point, a rationally non-empty set
+   with no integer point, and a contradiction between parameter-only
+   constraints *)
+let test_reference_edge_domains () =
+  let np = 1 in
+  let mk name rows depth =
+    Build.stmt ~id:1 ~name ~np ~depth
+      ~domain:(Build.domain_rows ~np ~depth rows) ~beta:(List.init (depth + 1) (fun _ -> 0)) ()
+  in
+  let triangle = mk "triangle" [ [ 1; 0; 0; 0 ]; [ -1; 0; 1; -1 ]; [ 0; 1; 0; 0 ]; [ 1; -1; 0; 0 ] ] 2 in
+  let point = mk "point" [ [ 1; 0; -3 ]; [ -1; 0; 3 ] ] 1 in
+  let gap = mk "gap" [ [ 2; 0; -1 ]; [ -2; 0; 1 ]; [ 0; 1; 0 ] ] 1 in
+  let contradiction = mk "contradiction" [ [ 1; 0; 0 ]; [ -1; 1; 0 ]; [ 0; 1; -5 ] ] 1 in
+  let depth0 = mk "depth0" [ [ 1; -2 ] ] 0 in
+  List.iter (fun n ->
+    let v = [| Emsc_arith.Zint.of_int n |] in
+    List.iter (fun s -> same_points s v) [ triangle; point; gap; contradiction; depth0 ])
+    [ 0; 1; 2; 3; 7 ];
+  Alcotest.(check int) "triangle at n=4" 10
+    (List.length (Reference.domain_points triangle ~param_values:[| Emsc_arith.Zint.of_int 4 |]));
+  Alcotest.(check int) "empty at n=0" 0
+    (List.length (Reference.domain_points triangle ~param_values:[| Emsc_arith.Zint.zero |]))
+
+(* --- overflow-checked native arithmetic ---------------------------------- *)
+
+let z = Emsc_arith.Zint.of_int
+let zc n = Ast.Const (z n)
+let copy_at dst_idx =
+  Ast.Copy
+    { dst = { Ast.array = "A"; indices = [| dst_idx |] };
+      src = { Ast.array = "B"; indices = [| i_ 0 |] } }
+
+let near_max_prog =
+  { Prog.params = [||]; arrays = [ Build.array1 "A" 16 ~np:0; Build.array1 "B" 1 ~np:0 ];
+    stmts = [] }
+
+let loop_ ?(step = 1) var lb ub body =
+  Ast.Loop { Ast.var; lb; ub; step = z step; par = Ast.Seq; body }
+
+(* both executors on one AST: the same cells written, or the same
+   exception *)
+let outcome run =
+  let m = Memory.create near_max_prog ~param_env:no_params in
+  Memory.write_global m "B" [| 0 |] 1.0;
+  match run m with
+  | (_ : Exec.counters) ->
+    Ok (List.filter (fun i -> Memory.read_global m "A" [| i |] <> 0.0) (List.init 16 Fun.id))
+  | exception e -> Error (Printexc.to_string e)
+
+let both ?(mode = Exec.Full) ast =
+  let staged =
+    outcome (fun m ->
+      (Exec.run ~prog:near_max_prog ~param_env:no_params ~memory:m ~mode ast).Exec.totals)
+  in
+  let legacy =
+    outcome (fun m ->
+      let r =
+        Legacy_interp.run ~prog:near_max_prog ~param_env:no_params ~memory:m
+          ~mode:(match mode with Exec.Full -> Legacy_interp.Full | Exec.Sampled n -> Legacy_interp.Sampled n)
+          ast
+      in
+      ignore r;
+      Exec.fresh ())
+  in
+  let show = function
+    | Ok l -> "cells " ^ String.concat "," (List.map string_of_int l)
+    | Error e -> "raised " ^ e
+  in
+  Alcotest.(check string) "staged == legacy" (show legacy) (show staged);
+  staged
+
+let test_overflow_near_max_int () =
+  let top = max_int - 10 in
+  (* strided loop ending at max_int: no wrap on the last increment *)
+  Alcotest.(check bool) "stride 3 up to max_int" true
+    (both [ loop_ ~step:3 "i" (zc top) (zc max_int) [ copy_at Ast.(Sub (Var "i", Const (z top))) ] ]
+     = Ok [ 0; 3; 6; 9 ]);
+  (* stride max_int: two iterations, 0 and max_int *)
+  Alcotest.(check bool) "stride max_int" true
+    (both [ loop_ ~step:max_int "i" (zc 0) (zc max_int)
+              [ copy_at (Ast.Fdiv (Ast.Var "i", z max_int)) ] ]
+     = Ok [ 0; 1 ]);
+  (* 2i - i overflows on the way but fits at the end: exact *)
+  Alcotest.(check bool) "intermediate overflow recovers" true
+    (both [ loop_ "i" (zc top) (zc (top + 2))
+              [ copy_at Ast.(Sub (Sub (Mul (z 2, Var "i"), Var "i"), Const (z top))) ] ]
+     = Ok [ 0; 1; 2 ]);
+  (* sampled: first and last iterations of a loop ending at max_int *)
+  Alcotest.(check bool) "sampled last iteration" true
+    (both ~mode:(Exec.Sampled 3) [ loop_ ~step:2 "i" (zc top) (zc max_int)
+              [ copy_at Ast.(Sub (Var "i", Const (z top))) ] ]
+     = Ok [ 0; 10 ]);
+  (* a guard whose value does not fit still decides exactly *)
+  Alcotest.(check bool) "guard beyond max_int" true
+    (both [ loop_ "i" (zc top) (zc top)
+              [ Ast.Guard ([ Ast.Add (Ast.Var "i", zc max_int) ], [ copy_at (i_ 5) ]) ] ]
+     = Ok [ 5 ]);
+  let fails = Error (Printexc.to_string (Failure "Zint.to_int_exn: value does not fit in int")) in
+  (* an index that does not fit raises Zint.to_int_exn's Failure *)
+  Alcotest.(check bool) "index overflow raises" true
+    (both [ loop_ "i" (zc top) (zc top) [ copy_at (Ast.Mul (z 2, Ast.Var "i")) ] ] = fails);
+  (* so does a trip count that does not fit *)
+  Alcotest.(check bool) "trip overflow raises" true
+    (both [ loop_ "i" (zc min_int) (zc max_int) [ copy_at (i_ 0) ] ] = fails)
+
 (* --- timing model ------------------------------------------------------------- *)
 
 let test_occupancy () =
@@ -280,6 +470,18 @@ let () =
         [
           Alcotest.test_case "schedule order" `Quick
             test_reference_schedule_order;
+          QCheck_alcotest.to_alcotest qcheck_reference_gen;
+          Alcotest.test_case "suite: FM == LP" `Quick test_reference_suite;
+          Alcotest.test_case "edge domains: FM == LP" `Quick
+            test_reference_edge_domains;
+        ] );
+      ( "staged",
+        [
+          QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 13 |])
+            qcheck_staged_gen;
+          Alcotest.test_case "suite == legacy" `Quick test_staged_suite;
+          Alcotest.test_case "overflow near max_int" `Quick
+            test_overflow_near_max_int;
         ] );
       ( "timing",
         [

@@ -1,6 +1,8 @@
 (* lib/runtime: the block-parallel execution backend.  Bit-for-bit
    equality with the sequential interpreter (arrays, counter totals,
-   launch shapes) across job counts, policies and double buffering;
+   launch shapes) across job counts, policies and double buffering,
+   and with the legacy interpreter on generated and suite kernels;
+   staging once per distinct phase;
    arena-pool semantics; the DMA pipeline splitter; the write-ownership
    tracker; and the double-buffer capacity rule. *)
 
@@ -34,6 +36,12 @@ let check_same (prog : Prog.t) (m_seq, r_seq) (m_par, r_par) =
     (totals_json r_par);
   Alcotest.(check (list (float 0.0))) "launch grids" (grids r_seq)
     (grids r_par)
+
+let rec contains_launch (s : Ast.stm) =
+  match s with
+  | Ast.Loop l -> l.Ast.par = Ast.Block || List.exists contains_launch l.Ast.body
+  | Ast.Guard (_, body) -> List.exists contains_launch body
+  | Ast.Copy _ | Ast.Sync | Ast.Fence | Ast.Stmt_call _ | Ast.Comment _ -> false
 
 let simulate_seq c =
   Runner.simulate ~mode:Exec.Full ~memory:Runner.Pseudorandom c
@@ -448,6 +456,100 @@ let test_oracle_parallel_backend () =
    | Ok () -> ()
    | Error r -> Alcotest.failf "parallel oracle failed: %s" r)
 
+(* --- staged parallel runs vs the legacy interpreter ------------------------ *)
+
+(* every parallel configuration against one sequential legacy run:
+   arrays, counters, launches and movement tallies bit-identical *)
+let parallel_configs =
+  List.concat_map (fun jobs ->
+    List.concat_map (fun policy ->
+      List.map (fun double_buffer -> (jobs, policy, double_buffer)) [ false; true ])
+      [ Runtime.Static; Runtime.Work_stealing ])
+    [ 1; 2 ]
+
+let check_parallel (k : Exec_diff.kernel) =
+  if k.Exec_diff.independent && List.exists contains_launch k.Exec_diff.ast then begin
+    let expected = Exec_diff.legacy ~mode:Exec.Full k in
+    List.iter (fun (jobs, policy, double_buffer) ->
+      let what =
+        Printf.sprintf "%s j%d %s%s" k.Exec_diff.name jobs
+          (match policy with Runtime.Static -> "static" | Runtime.Work_stealing -> "steal")
+          (if double_buffer then " double-buffer" else "")
+      in
+      Exec_diff.check_same what expected
+        (Exec_diff.parallel ~jobs ~policy ~double_buffer k))
+      parallel_configs
+  end
+
+(* a fixed draw over a range whose programs all compile quickly *)
+let qcheck_parallel_gen =
+  QCheck.Test.make ~name:"parallel == legacy on Gen programs" ~count:100
+    (QCheck.int_range 0 299)
+    (fun i ->
+      List.iter check_parallel (Exec_diff.gen_kernels ~launches:true i);
+      true)
+
+let test_parallel_suite () = List.iter check_parallel (Exec_diff.suite_kernels ())
+
+(* --- staging ------------------------------------------------------------- *)
+
+let stagings f =
+  let module Prof = Emsc_obs.Prof in
+  Prof.reset ();
+  Prof.enable ();
+  Fun.protect ~finally:Prof.disable f;
+  List.fold_left (fun acc (fr : Prof.frame) ->
+    acc +. Option.value ~default:0.0 (List.assoc_opt "exec.stagings" fr.Prof.f_counters))
+    0.0 (Prof.snapshot ())
+
+(* One run stages each distinct phase once, however many launches and
+   blocks execute it: a launch body, or with double buffering its
+   move-in, compute and move-out phases.  Here one launch of 8 blocks
+   sits in a host loop, so its body runs [8 * trips] times. *)
+let repeated_launch ~trips =
+  let a_at = { Ast.array = "A"; indices = [| Ast.var "b" |] } in
+  let l_at = { Ast.array = "l_a"; indices = [| Ast.var "b" |] } in
+  [ Ast.loop_ "t" ~lb:(Ast.int_ 0) ~ub:(Ast.int_ (trips - 1))
+      [ Ast.loop_ ~par:Ast.Block "b" ~lb:(Ast.int_ 0) ~ub:(Ast.int_ 7)
+          [ Ast.Copy { dst = l_at; src = a_at }; Ast.Fence; Ast.Sync; Ast.Fence;
+            Ast.Copy { dst = a_at; src = l_at } ] ] ]
+
+let test_stages_once_per_phase () =
+  let run ~trips ~double_buffer () =
+    let m = Memory.create racy_prog ~param_env:no_params in
+    Memory.declare_local m "l_a";
+    let cfg = { (Runtime.default_cfg ~jobs:2) with Runtime.double_buffer } in
+    let r =
+      Runtime.run ~prog:racy_prog ~param_env:no_params ~memory:m ~cfg
+        (repeated_launch ~trips)
+    in
+    Alcotest.(check int) "one launch per trip" trips (List.length r.Exec.launches)
+  in
+  Alcotest.(check (float 0.0)) "plain" 1.0 (stagings (run ~trips:3 ~double_buffer:false));
+  Alcotest.(check (float 0.0)) "plain, more launches" 1.0
+    (stagings (run ~trips:9 ~double_buffer:false));
+  Alcotest.(check (float 0.0)) "double buffer: three phases" 3.0
+    (stagings (run ~trips:9 ~double_buffer:true));
+  (* the overlapped stencil emits one distinct launch per time tile *)
+  let n = 1024 and steps = 16 and ts = 64 and tt = 4 in
+  let prog = Emsc_kernels.Jacobi1d.program ~n ~steps in
+  let k = Emsc_transform.Stencil.overlapped_1d ~n ~steps ~ts ~tt prog in
+  let tiles = float_of_int k.Emsc_transform.Stencil.time_tiles in
+  let stencil ~double_buffer () =
+    ignore
+      (Runner.execute ~prog ~local_ref:k.Emsc_transform.Stencil.local_ref
+         ~locals:k.Emsc_transform.Stencil.locals ~mode:Exec.Full
+         ~memory:Runner.Pseudorandom ~backend:(`Par 2) ~double_buffer
+         ~block_words:k.Emsc_transform.Stencil.smem_words k.Emsc_transform.Stencil.ast)
+  in
+  Alcotest.(check (float 0.0)) "stencil: one per launch" tiles
+    (stagings (stencil ~double_buffer:false));
+  Alcotest.(check (float 0.0)) "stencil double buffer: three per launch" (3.0 *. tiles)
+    (stagings (stencil ~double_buffer:true));
+  let c = compiled (Emsc_kernels.Matmul.job ~n:16 ()) in
+  Alcotest.(check (float 0.0)) "sequential run: once" 1.0
+    (stagings (fun () -> ignore (simulate_seq c)))
+
 let () =
   Alcotest.run "runtime"
     [ ( "parallel-vs-sequential",
@@ -497,4 +599,10 @@ let () =
             test_events_off_leaves_no_tracks ] );
       ( "oracle",
         [ Alcotest.test_case "parallel backend" `Quick
-            test_oracle_parallel_backend ] ) ]
+            test_oracle_parallel_backend ] );
+      ( "staged-vs-legacy",
+        [ QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 13 |])
+            qcheck_parallel_gen;
+          Alcotest.test_case "suite" `Quick test_parallel_suite;
+          Alcotest.test_case "stages once per phase" `Quick
+            test_stages_once_per_phase ] ) ]
