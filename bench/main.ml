@@ -23,8 +23,8 @@ open Emsc_machine
 open Emsc_kernels
 open Emsc_driver
 
-let gpu_hier = Emsc_machine.Hierarchy.gtx8800
-let gpu = Emsc_machine.Hierarchy.to_gpu_exn gpu_hier
+let gpu = Emsc_machine.Hierarchy.gtx8800
+let word_bytes = (Hierarchy.staging gpu).Hierarchy.l_word_bytes
 let cpu_hier = Emsc_machine.Hierarchy.core2duo_cache_as_scratchpad
 
 (* CPU-baseline ms for a run: cache-simulate the hierarchy's cache
@@ -213,7 +213,7 @@ let run_me ~ni ~nj ~tiles ~smem =
   in
   let fp_bytes =
     Timing.effective_smem_bytes ~double_buffer:false
-      ~word_bytes:gpu.Config.word_bytes fp_words
+      ~word_bytes fp_words
   in
   let params =
     { Timing.threads = me_threads;
@@ -224,7 +224,7 @@ let run_me ~ni ~nj ~tiles ~smem =
       coalesce_eff = (if smem then 16.0 else 4.0);
       global_sync = false; double_buffer = false }
   in
-  { me_ms = Timing.gpu_total_ms gpu params result;
+  { me_ms = Timing.total_ms gpu params result;
     me_fp_bytes = fp_bytes }
 
 (* CPU baseline: full interpretation with cache simulation at a small
@@ -293,7 +293,9 @@ let fig6 () =
       pf " %10.1f" r.me_ms)
       sizes;
     pf " %10dB%s\n" !fp
-      (if !fp > gpu.Config.smem_bytes then "  <- exceeds 16KB" else ""))
+      (if !fp > Hierarchy.staging_capacity_words gpu * word_bytes then
+         "  <- exceeds 16KB"
+       else ""))
     me_tile_candidates;
   (* and what does the Section 4.3 search pick?  Run it as the
      pipeline's tilesearch stage. *)
@@ -303,7 +305,7 @@ let fig6 () =
         [| Some ((ni + 7) / 8); Some ((nj + 3) / 4); None; None |];
       search_ranges = [| (8, 64); (8, 64); (16, 16); (16, 16) |];
       search_mem_limit_words =
-        Emsc_machine.Hierarchy.staging_capacity_words gpu_hier;
+        Emsc_machine.Hierarchy.staging_capacity_words gpu;
       search_threads = float_of_int me_threads;
       search_sync_cost = 40.0;
       search_transfer_cost = 4.0;
@@ -357,11 +359,11 @@ let run_jacobi ~n ~ts ~tt =
     { Timing.threads = jac_threads;
       smem_bytes_per_block =
         Timing.effective_smem_bytes ~double_buffer:false
-          ~word_bytes:gpu.Config.word_bytes k.Stencil.smem_words;
+          ~word_bytes k.Stencil.smem_words;
       coalesce_eff = 16.0;
       global_sync = true; double_buffer = false }
   in
-  Timing.gpu_total_ms gpu params result
+  Timing.total_ms gpu params result
 
 let run_jacobi_dram ~n ~ts =
   let p = Jacobi1d.program ~n ~steps:jac_steps in
@@ -374,7 +376,7 @@ let run_jacobi_dram ~n ~ts =
     { Timing.threads = jac_threads; smem_bytes_per_block = 0;
       coalesce_eff = 3.5; global_sync = true; double_buffer = false }
   in
-  Timing.gpu_total_ms gpu params result
+  Timing.total_ms gpu params result
 
 let jac_cpu_ms_per_cell =
   lazy
@@ -572,12 +574,12 @@ let ablations () =
     let fp =
       match
         Timing.plan_smem_bytes ~double_buffer:double
-          ~word_bytes:gpu.Config.word_bytes plan Runner.zero_env
+          ~word_bytes plan Runner.zero_env
       with
       | Some b -> b
       | None -> failwith "bench: symbolic footprint"
     in
-    Timing.gpu_total_ms gpu
+    Timing.total_ms gpu
       { Timing.threads = me_threads;
         smem_bytes_per_block = fp;
         coalesce_eff = 16.0; global_sync = false; double_buffer = double }

@@ -503,7 +503,6 @@ let run_cmd =
 let gpu_profile ~cache ~name ~prog ~hier ~arch ~merge ~delta
     ~optimize_movement ~inter_tile_reuse ~spec ~threads ~global_sync ~backend
     ~jobs ~policy ~double_buffer ~runtime =
-  let gpu_config = Emsc_machine.Hierarchy.to_gpu_exn hier in
   let capacity_words = capacity_words_of hier in
   let options =
     { Options.default with
@@ -561,7 +560,9 @@ let gpu_profile ~cache ~name ~prog ~hier ~arch ~merge ~delta
               (List.map (fun (e, w) -> (e, Json.Int w)) edges) ) ]
     end
   in
-  let word_bytes = gpu_config.Emsc_machine.Config.word_bytes in
+  let word_bytes =
+    (Emsc_machine.Hierarchy.staging hier).Emsc_machine.Hierarchy.l_word_bytes
+  in
   let smem_bytes =
     match
       Emsc_machine.Timing.plan_smem_bytes ~double_buffer ~word_bytes plan
@@ -583,7 +584,7 @@ let gpu_profile ~cache ~name ~prog ~hier ~arch ~merge ~delta
          | `Seq -> "seq"
          | `Parallel -> Printf.sprintf "parallel-j%d" (max 1 jobs)) );
     ("plan", Plan.explain_json ~capacity_words plan);
-    ("profile", Emsc_machine.Timing.profile_json gpu_config gp result);
+    ("profile", Emsc_machine.Timing.profile_json hier gp result);
     ("hierarchy", hierarchy_json);
     ("pipeline", Pipeline.report_json c);
     (* histograms in here carry p50/p95/p99 summaries — the per-stage
@@ -596,7 +597,7 @@ let gpu_profile ~cache ~name ~prog ~hier ~arch ~merge ~delta
        breakdown under the same parameters the profile reports *)
     let model =
       match result.Emsc_machine.Exec.launches with
-      | l :: _ -> Some (Emsc_machine.Timing.gpu_launch_breakdown gpu_config gp l)
+      | l :: _ -> Some (Emsc_machine.Timing.launch_breakdown hier gp l)
       | [] -> None
     in
     [ ("runtime_report", runtime_report_json ?model ~double_buffer r) ]
@@ -1027,7 +1028,11 @@ let serve_cmd =
         ~queue_capacity:queue ~default_timeout_ms:timeout_ms ~cache
         ~default_machine:machine ~install_signal_handlers:true ~log addr
     in
-    let stats = Emsc_serve.Server.run cfg in
+    let stats =
+      match Emsc_serve.Server.listen cfg with
+      | l -> Emsc_serve.Server.serve l
+      | exception Failure m -> prerr_endline m; exit 1
+    in
     log
       (Printf.sprintf "served %d, rejected %d over %d connection(s)"
          stats.Emsc_serve.Server.served stats.Emsc_serve.Server.rejected

@@ -15,7 +15,7 @@ let ni = 1024
 let nj = 1024
 let ws = 16
 let threads = 256.0
-let smem_words = 4096 (* 16 KB / 4-byte words *)
+let smem_words = Emsc_machine.Hierarchy.(staging_capacity_words gtx8800)
 
 let search =
   { Options.search_block = [| Some (ni / 8); Some (nj / 4); None; None |];

@@ -13,7 +13,7 @@ open Emsc_machine
 open Emsc_driver
 open Emsc_kernels
 
-let gpu = Config.gtx8800
+let gpu = Hierarchy.gtx8800
 
 let () =
   (* 1. the transform story: Jacobi needs skewing to tile *)
@@ -53,6 +53,7 @@ let () =
   Printf.printf "\noverlapped tiling (n=%d, %d steps, ts=%d, tt=%d): %s\n" n
     steps ts tt
     (if !ok then "matches reference" else "MISMATCH");
+  if not !ok then exit 1;
   Printf.printf "scratchpad per block: %d words; launches: %d\n"
     k.Stencil.smem_words k.Stencil.time_tiles;
   Printf.printf "global words moved: %.0f (vs %.0f for the untiled version)\n"
@@ -68,10 +69,11 @@ let () =
         ~locals:kernel.Stencil.locals ~memory:Runner.Phantom
         kernel.Stencil.ast
     in
-    Timing.gpu_total_ms gpu
+    Timing.total_ms gpu
       { Timing.threads = 64;
         smem_bytes_per_block =
-          kernel.Stencil.smem_words * gpu.Config.word_bytes;
+          kernel.Stencil.smem_words
+          * (Hierarchy.staging gpu).Hierarchy.l_word_bytes;
         coalesce_eff = coalesce; global_sync = true; double_buffer = false }
       r
   in

@@ -59,9 +59,10 @@ let () =
     Runner.reference ~memory:(Runner.Filled init) c.Pipeline.prog
   in
   let m, r = Runner.simulate ~mode:Exec.Full ~memory:(Runner.Filled init) c in
+  let ok = Memory.arrays_equal m_ref m "C" in
   Printf.printf "result: %s\n"
-    (if Memory.arrays_equal m_ref m "C" then "matches reference"
-     else "MISMATCH");
+    (if ok then "matches reference" else "MISMATCH");
+  if not ok then exit 1;
   Printf.printf "global words: %.0f (untiled would move %d)\n"
     (Exec.total_global r.Exec.totals)
     (4 * n * n * n)

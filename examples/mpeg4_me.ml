@@ -15,7 +15,7 @@ open Emsc_machine
 open Emsc_driver
 open Emsc_kernels
 
-let gpu = Config.gtx8800
+let gpu = Hierarchy.gtx8800
 
 let build ~ni ~nj ~ws ~tiles ~smem =
   match Pipeline.compile (Me.job ~ni ~nj ~ws ~tiles ~stage_data:smem ()) with
@@ -37,8 +37,10 @@ let () =
     Runner.reference ~memory:(Runner.Filled init) c.Pipeline.prog
   in
   let m, r = Runner.simulate ~mode:Exec.Full ~memory:(Runner.Filled init) c in
+  let ok = Memory.arrays_equal m_ref m "sad" in
   Printf.printf "correctness (%dx%d, ws=%d): %s\n" ni nj ws
-    (if Memory.arrays_equal m_ref m "sad" then "OK" else "MISMATCH");
+    (if ok then "OK" else "MISMATCH");
+  if not ok then exit 1;
   Printf.printf "global words: %.0f, scratchpad words: %.0f\n\n"
     (Exec.total_global r.Exec.totals)
     (Exec.total_smem r.Exec.totals);
@@ -52,10 +54,10 @@ let () =
     let fp =
       if smem then
         Zint.to_int_exn (Plan.total_footprint plan Runner.zero_env)
-        * gpu.Config.word_bytes
+        * (Hierarchy.staging gpu).Hierarchy.l_word_bytes
       else 0
     in
-    Timing.gpu_total_ms gpu
+    Timing.total_ms gpu
       { Timing.threads = 256; smem_bytes_per_block = fp;
         coalesce_eff = (if smem then 16.0 else 4.0); global_sync = false;
         double_buffer = false }

@@ -559,8 +559,9 @@ let audit_compiled ?(tolerance = default_tolerance) ?(double_buffer = false)
                quantity "global_words" g_pred (Exec.total_global totals);
                quantity "smem_words" s_pred (Exec.total_smem totals) ]
            in
-           let gpu = Hierarchy.to_gpu_exn hierarchy in
-           let word_bytes = gpu.Config.word_bytes in
+           let word_bytes =
+             (Hierarchy.staging hierarchy).Hierarchy.l_word_bytes
+           in
            let smem_bytes =
              match
                Timing.plan_smem_bytes ~double_buffer ~word_bytes plan env
@@ -577,7 +578,7 @@ let audit_compiled ?(tolerance = default_tolerance) ?(double_buffer = false)
                Timing.double_buffer }
            in
            let breakdown cs =
-             Timing.gpu_launch_breakdown gpu params
+             Timing.launch_breakdown hierarchy params
                { Exec.grid = 1.0; per_block = cs; repeat = 1.0 }
            in
            let pc = Exec.fresh () in

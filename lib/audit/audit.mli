@@ -121,10 +121,9 @@ val audit_compiled :
     timing-side scratchpad footprint use the effective (doubled)
     window, via {!Emsc_machine.Timing.plan_smem_bytes}, matching what
     the runtime actually keeps resident.  [hierarchy] (default
-    {!Emsc_machine.Hierarchy.gtx8800}, which keeps the numbers
-    bit-identical to the legacy 2-level model) selects the machine:
-    its staging projection drives the timing quantities and its edge
-    list the per-edge movement accounting.  The metrics registry is
+    {!Emsc_machine.Hierarchy.gtx8800}) selects the machine: its
+    staging level drives the timing quantities and its edge list the
+    per-edge movement accounting.  The metrics registry is
     enabled for the duration of the measured run and restored
     afterwards. *)
 

@@ -114,6 +114,24 @@ let serve_section j =
       fields
   | _ -> []
 
+(* "<figure>.<series>.<x>" -> value of the simulated figures fig4..fig8:
+   outputs of the timing model, not wall times, so they are gated
+   two-sided with no tolerance (a model change is never a speed-up).
+   Figures absent from the old artifact surface as "added"; the
+   runtime and serve points belong to their own sections *)
+let model_section j =
+  let model = [ "fig4"; "fig5"; "fig6"; "fig7"; "fig8" ] in
+  let str k p = match J.member k p with Some (J.Str s) -> Some s | _ -> None in
+  match J.member "figures" j with
+  | Some (J.List points) ->
+    List.filter_map (fun p ->
+      match str "figure" p, str "series" p, str "x" p, J.member "value" p with
+      | Some f, Some s, Some x, Some v when List.mem f model ->
+        Option.map (fun v -> (f ^ "." ^ s ^ "." ^ x, v)) (num v)
+      | _ -> None)
+      points
+  | _ -> []
+
 (* pass name -> self ms from the compile_profile section written by the
    Prof layer; absent in artifacts that predate the profiler, so absence
    is an empty section.  Never gated: per-pass self times are micro
@@ -178,7 +196,7 @@ let movement_section j =
          fields)
   | _ -> Error "artifact has no kernel_counters object"
 
-let diff_section ~metric ~tolerance olds news
+let diff_section ?(two_sided = false) ~metric ~tolerance olds news
     (regressions, improvements, unchanged, missing, added) =
   let acc = ref (regressions, improvements, unchanged, missing, added) in
   List.iter (fun (key, old_v) ->
@@ -192,8 +210,9 @@ let diff_section ~metric ~tolerance olds news
         { c_key = key; c_metric = metric; c_old = old_v; c_new = new_v;
           c_ratio = ratio }
       in
-      if new_v > old_v *. (1.0 +. tolerance) then
-        acc := (change :: r, i, u, m, a)
+      if new_v > old_v *. (1.0 +. tolerance)
+         || (two_sided && new_v < old_v *. (1.0 -. tolerance))
+      then acc := (change :: r, i, u, m, a)
       else if new_v < old_v *. (1.0 -. tolerance) then
         acc := (r, change :: i, u, m, a)
       else acc := (r, i, u + 1, m, a))
@@ -220,6 +239,8 @@ let compare ?(wall_tolerance = default_wall_tolerance)
            wall_new
       |> diff_section ~metric:"global_words" ~tolerance:move_tolerance
            move_old move_new
+      |> diff_section ~two_sided:true ~metric:"model_ms" ~tolerance:0.0
+           (model_section old_j) (model_section new_j)
       |> diff_section ~metric:"level_words" ~tolerance:move_tolerance
            (level_movement_section old_j) (level_movement_section new_j)
       |> diff_section ~metric:"transfer_words" ~tolerance:move_tolerance

@@ -19,9 +19,13 @@
     latency quantiles ([*_ms]) and the hot-cache miss rate
     ([*_miss_rate]) — with the runtime tolerance; throughput and hit
     rates are reported but never compared (growth there is good).
+    The points of the simulated figures [fig4]..[fig8] in the
+    [figures] list are outputs of the timing model, not wall times:
+    they are compared two-sided with no tolerance, so a change in
+    either direction is a regression (metric ["model_ms"]).
     Absence of the [runtime_wall_ms], [runtime_report],
-    [level_movement], [transfer_volume] or [serve] sections from an
-    older artifact is fine — the new points show up as added, not
+    [level_movement], [transfer_volume] or [serve] sections, or of a
+    simulated figure, from an older artifact is fine — the new points show up as added, not
     missing.
     A key present in the old artifact but missing from the new one is a
     lost measurement and fails the comparison.
@@ -38,7 +42,8 @@
 type change = {
   c_key : string;     (** figure, kernel, or (attribution) pass name *)
   c_metric : string;
-      (** ["wall_ms"], ["global_words"], ["runtime_wall_ms"],
+      (** ["wall_ms"], ["global_words"], ["model_ms"], ["level_words"],
+          ["transfer_words"], ["runtime_wall_ms"], ["serve_slo"],
           ["overlap_fail"] or ["pass_self_ms"] (attribution only) *)
   c_old : float;
   c_new : float;

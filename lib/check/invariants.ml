@@ -353,7 +353,7 @@ let check ?capacity_words ?hierarchy ?(double_buffer = false)
         (* the effective footprint doubles under double buffering —
            two windows of every staged buffer stay resident *)
         let eff =
-          Emsc_machine.Timing.effective_smem_words ~double_buffer fp
+          Emsc_machine.Hierarchy.effective_words ~double_buffer fp
         in
         if eff > cap then
           report ~buffer:"<plan>" ~invariant:"capacity"

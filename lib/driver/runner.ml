@@ -43,23 +43,23 @@ let prepare ?(memory = Zeroed) ~param_env (p : Prog.t) =
 type backend = [ `Seq | `Par of int ]
 
 (* Parallel runs honor the machine's concurrent-blocks rule: at most
-   [occupancy * num_mimd] arenas live at once, with occupancy derived
-   from the block's effective scratchpad need (doubled when
-   double-buffering keeps two windows resident).  The machine defaults
-   to the paper's GPU; any hierarchy works through its staging-level
-   projection. *)
+   [occupancy * fanout] arenas live at once (one staging level per
+   multiprocessor), with occupancy derived from the block's effective
+   scratchpad need (doubled when double-buffering keeps two windows
+   resident).  The machine defaults to the paper's GPU; any hierarchy
+   works through its staging level. *)
 let par_cfg ?(hierarchy = Hierarchy.gtx8800) ~jobs ~policy ~double_buffer
     ~track_ownership ~block_words ?(inter_tile_reuse = false) () =
-  let g = Hierarchy.to_gpu_exn hierarchy in
+  let s = Hierarchy.staging hierarchy in
   let occ =
-    Timing.occupancy g
+    Timing.occupancy hierarchy
       ~smem_bytes_per_block:
         (Timing.effective_smem_bytes ~double_buffer
-           ~word_bytes:g.Config.word_bytes block_words)
+           ~word_bytes:s.Hierarchy.l_word_bytes block_words)
   in
   { (Emsc_runtime.Runtime.default_cfg ~jobs) with
     Emsc_runtime.Runtime.policy; double_buffer; track_ownership;
-    max_concurrent_blocks = Some (occ * g.Config.num_mimd);
+    max_concurrent_blocks = Some (occ * s.Hierarchy.l_fanout);
     block_words; inter_tile_reuse }
 
 let execute ~prog ?local_ref ?(locals = []) ?(mode = Exec.Sampled 6) ?memory

@@ -63,12 +63,12 @@ val execute :
     sizes each block's scratchpad arena, [double_buffer] turns on the
     async DMA pipeline, and the concurrent-arena cap follows
     [Timing.occupancy] over the effective (buffering-adjusted)
-    footprint against [hierarchy] (default {!Hierarchy.gtx8800},
-    through its staging-level projection).  [inter_tile_reuse] switches
-    the parallel executor to chain-aware scheduling (one arena per
-    chain of consecutive blocks) so the plan's resident slabs survive
-    between blocks — required when the AST carries delta-movement
-    guards. *)
+    footprint against [hierarchy] (default {!Hierarchy.gtx8800}): at
+    most occupancy times the staging level's fan-out arenas live at
+    once.  [inter_tile_reuse] switches the parallel executor to
+    chain-aware scheduling (one arena per chain of consecutive blocks)
+    so the plan's resident slabs survive between blocks — required
+    when the AST carries delta-movement guards. *)
 
 val simulate :
   ?mode:Exec.mode ->

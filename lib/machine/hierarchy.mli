@@ -5,11 +5,9 @@
     unbounded home level (DRAM) last — each with a capacity, word size,
     access cost, parallel fan-out, and a transfer edge to its parent.
     The 8800 GTX of the paper is the 2-level special case
-    (scratchpad ⊂ DRAM); [to_gpu] projects any hierarchy onto the
-    legacy [Config.gpu] timing record through its staging level, and
-    for the [gtx8800] built-in that projection is exactly
-    [Config.gtx8800], which keeps the hierarchy path bit-identical to
-    the legacy model.  Arches are data: built-ins by name, or JSON
+    (scratchpad ⊂ DRAM); the {!Timing} launch model reads any
+    hierarchy through its staging level, that level's parent edge and
+    the compute block.  Arches are data: built-ins by name, or JSON
     files under [examples/machines/]. *)
 
 type edge = {
@@ -82,25 +80,20 @@ val edges : t -> (level * level * edge) list
 val edge_name : level * level * edge -> string
 (** ["inner<-outer"], the direction data is staged. *)
 
-(** {2 Validation and the legacy bridge} *)
+val ms_of_cycles : t -> float -> float
+(** Cycles of the compute clock to milliseconds. *)
+
+(** {2 Validation} *)
 
 val validate : t -> (t, string) result
 (** ≥2 distinct-named levels, positive geometry, inner levels bounded
     with a parent edge, home unbounded without one. *)
 
-val to_gpu : t -> (Config.gpu, string) result
-(** Project the staging level, its parent edge, and the compute block
-    onto the legacy 2-level GPU timing record. *)
-
-val to_gpu_exn : t -> Config.gpu
-
-val ms_of_cycles : t -> float -> float
-
 (** {2 Built-ins} *)
 
 val gtx8800 : t
-(** The paper's GeForce 8800 GTX — [to_gpu gtx8800 = Ok Config.gtx8800]
-    field for field. *)
+(** The paper's GeForce 8800 GTX: 16 multiprocessors with 16 KB of
+    scratchpad each over DRAM. *)
 
 val gtx8800_3level : t
 (** The same chip with the per-multiprocessor register file as an

@@ -25,14 +25,12 @@ type gpu_params = {
 
 val default_params : gpu_params
 
-val effective_smem_words : double_buffer:bool -> int -> int
-(** Scratchpad words a plan actually needs per block under the given
-    buffering mode: double buffering keeps two windows of every staged
-    buffer resident, doubling the footprint.  All capacity checks must
-    use this rather than the raw plan footprint. *)
-
 val effective_smem_bytes : double_buffer:bool -> word_bytes:int -> int -> int
-(** Same, in bytes: [effective_smem_words * word_bytes]. *)
+(** Scratchpad bytes a plan of [words] words actually needs per block
+    under the given buffering mode: {!Hierarchy.effective_words} (two
+    resident windows of every staged buffer when double buffering)
+    times [word_bytes].  Capacity checks use this, never the raw plan
+    footprint. *)
 
 val plan_smem_bytes :
   double_buffer:bool -> word_bytes:int ->
@@ -41,8 +39,10 @@ val plan_smem_bytes :
     tile-size valuation), or [None] when a buffer footprint does not
     evaluate to a machine integer. *)
 
-val occupancy : Config.gpu -> smem_bytes_per_block:int -> int
-(** Concurrent blocks per multiprocessor. *)
+val occupancy : Hierarchy.t -> smem_bytes_per_block:int -> int
+(** Concurrent blocks per multiprocessor: the staging level's capacity
+    over the per-block need, capped by the compute block's
+    [c_max_blocks_per_unit]. *)
 
 type breakdown = {
   occ : int;                 (** concurrent blocks per multiprocessor *)
@@ -62,22 +62,24 @@ type breakdown = {
     which resource (compute, bandwidth, latency, synchronization)
     bounds the kernel. *)
 
-val gpu_launch_breakdown : Config.gpu -> gpu_params -> Exec.launch -> breakdown
-val gpu_launch_cycles : Config.gpu -> gpu_params -> Exec.launch -> float
-(** [= (gpu_launch_breakdown g p l).launch_cycles] *)
+(** {2 Launch model}
 
-val gpu_total_ms : Config.gpu -> gpu_params -> Exec.result -> float
-
-(** {2 Hierarchy front-end}
-
-    The declarative machine path: projects the hierarchy onto the
-    2-level launch model through its staging level
-    ({!Hierarchy.to_gpu}), so for [Hierarchy.gtx8800] these are
-    bit-identical to the [Config.gtx8800] entry points. *)
+    Reads the staging level (capacity, access cost, fan-out = number
+    of multiprocessors), its edge to the home (bandwidth, latency,
+    coalescing width) and the compute block of the hierarchy.  These
+    raise [Invalid_argument] naming the machine when the staging level
+    has no capacity or no parent edge; {!Hierarchy.validate} rules
+    both out for every loaded machine.  test/golden_timing.txt pins
+    every breakdown field for [Hierarchy.gtx8800] bit for bit. *)
 
 val launch_breakdown : Hierarchy.t -> gpu_params -> Exec.launch -> breakdown
+
 val launch_cycles : Hierarchy.t -> gpu_params -> Exec.launch -> float
-val hierarchy_total_ms : Hierarchy.t -> gpu_params -> Exec.result -> float
+(** [= (launch_breakdown h p l).launch_cycles] *)
+
+val total_ms : Hierarchy.t -> gpu_params -> Exec.result -> float
+(** Sum of the launches' cycles in milliseconds
+    ({!Hierarchy.ms_of_cycles}); host-side work is not timed. *)
 
 val cache_total_ms :
   Hierarchy.t -> flops:float -> hits:float array -> home_accesses:float ->
@@ -90,9 +92,9 @@ val cache_total_ms :
 (** {2 Machine-readable profiles} *)
 
 val breakdown_json : breakdown -> Emsc_obs.Json.t
-val launch_json : Config.gpu -> gpu_params -> Exec.launch -> Emsc_obs.Json.t
+val launch_json : Hierarchy.t -> gpu_params -> Exec.launch -> Emsc_obs.Json.t
 val params_json : gpu_params -> Emsc_obs.Json.t
 
-val profile_json : Config.gpu -> gpu_params -> Exec.result -> Emsc_obs.Json.t
+val profile_json : Hierarchy.t -> gpu_params -> Exec.result -> Emsc_obs.Json.t
 (** Per-launch counters and timing breakdowns plus run totals; the
     payload of [emsc profile]. *)

@@ -82,31 +82,39 @@ let rec contains_block (s : Ast.stm) =
   | Ast.Copy _ | Ast.Sync | Ast.Fence | Ast.Stmt_call _ | Ast.Comment _ ->
     false
 
+(* A name under inner-first [bindings] (innermost shadows), else
+   under [outer]. *)
+let lookup bindings outer n =
+  match List.assoc_opt n bindings with Some v -> v | None -> outer n
+
+(* [f] on each value of [l]'s variable in order — lb, lb+step, ... up
+   to ub, bounds evaluated under [look] — in exact [Zint] arithmetic. *)
+let iter_range look (l : Ast.loop) f =
+  let lb = Ast.eval look l.Ast.lb and ub = Ast.eval look l.Ast.ub in
+  if Zint.compare lb ub <= 0 then begin
+    let trip =
+      Zint.to_int_exn
+        (Zint.add (Zint.fdiv (Zint.sub ub lb) l.Ast.step) Zint.one)
+    in
+    let v = ref lb in
+    for _ = 1 to trip do
+      f !v;
+      v := Zint.add !v l.Ast.step
+    done
+  end
+
 (* Mirror the executor's launch shape: peel the outermost chain of
    singleton Block loops, evaluating each level's bounds under the
-   accumulated bindings, and emit one task per grid point in
-   sequential order.  Bindings are inner-first. *)
-let enumerate_tasks lookup (l : Ast.loop) =
+   accumulated bindings (then [outer]), and emit one task per grid
+   point in sequential order.  Bindings are inner-first. *)
+let enumerate_tasks outer (l : Ast.loop) =
   let tasks = ref [] in
   let rec go bindings (l : Ast.loop) =
-    let look n =
-      match List.assoc_opt n bindings with Some v -> v | None -> lookup n
-    in
-    let lb = Ast.eval look l.Ast.lb and ub = Ast.eval look l.Ast.ub in
-    if Zint.compare lb ub <= 0 then begin
-      let trip =
-        Zint.to_int_exn
-          (Zint.add (Zint.fdiv (Zint.sub ub lb) l.Ast.step) Zint.one)
-      in
-      let v = ref lb in
-      for _ = 1 to trip do
-        let b = (l.Ast.var, !v) :: bindings in
-        (match l.Ast.body with
-         | [ Ast.Loop ({ par = Ast.Block; _ } as l') ] -> go b l'
-         | body -> tasks := (b, body) :: !tasks);
-        v := Zint.add !v l.Ast.step
-      done
-    end
+    iter_range (lookup bindings outer) l (fun v ->
+      let b = (l.Ast.var, v) :: bindings in
+      match l.Ast.body with
+      | [ Ast.Loop ({ par = Ast.Block; _ } as l') ] -> go b l'
+      | body -> tasks := (b, body) :: !tasks)
   in
   go [] l;
   Array.of_list (List.rev !tasks)
@@ -520,12 +528,7 @@ let exec_tasks_pipelined rt st hook (ins, core, outs) w next_task =
 let exec_launch rt host_bindings (l : Ast.loop) =
   (* host bindings are inner-first while walking (innermost shadows);
      the staged code binds them outer-first, later names shadowing *)
-  let lookup n =
-    match List.assoc_opt n host_bindings with
-    | Some v -> v
-    | None -> rt.param_env n
-  in
-  let tasks = enumerate_tasks lookup l in
+  let tasks = enumerate_tasks (lookup host_bindings rt.param_env) l in
   let n = Array.length tasks in
   if n = 0 then ()
   else begin
@@ -685,35 +688,11 @@ let rec exec_host rt host_bindings (s : Ast.stm) =
   match s with
   | Ast.Loop l when l.Ast.par = Ast.Block -> exec_launch rt host_bindings l
   | Ast.Loop l when List.exists contains_block l.Ast.body ->
-    let lookup n =
-      match List.assoc_opt n host_bindings with
-      | Some v -> v
-      | None -> rt.param_env n
-    in
-    let lb = Ast.eval lookup l.Ast.lb and ub = Ast.eval lookup l.Ast.ub in
-    if Zint.compare lb ub <= 0 then begin
-      let trip =
-        Zint.to_int_exn
-          (Zint.add (Zint.fdiv (Zint.sub ub lb) l.Ast.step) Zint.one)
-      in
-      let v = ref lb in
-      for _ = 1 to trip do
-        List.iter
-          (exec_host rt ((l.Ast.var, !v) :: host_bindings))
-          l.Ast.body;
-        v := Zint.add !v l.Ast.step
-      done
-    end
+    iter_range (lookup host_bindings rt.param_env) l (fun v ->
+      List.iter (exec_host rt ((l.Ast.var, v) :: host_bindings)) l.Ast.body)
   | Ast.Guard (conds, body) when List.exists contains_block body ->
-    let lookup n =
-      match List.assoc_opt n host_bindings with
-      | Some v -> v
-      | None -> rt.param_env n
-    in
-    if
-      List.for_all
-        (fun c -> not (Zint.is_negative (Ast.eval lookup c)))
-        conds
+    let look = lookup host_bindings rt.param_env in
+    if List.for_all (fun c -> not (Zint.is_negative (Ast.eval look c))) conds
     then List.iter (exec_host rt host_bindings) body
   | s -> exec_host_leaf rt host_bindings s
 

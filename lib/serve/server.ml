@@ -199,10 +199,23 @@ type listener = {
 
 let listen cfg =
   let listen_fd = listen_socket cfg.addr in
-  set_nonblock listen_fd;
-  let wake_r, wake_w = Unix.pipe () in
-  set_nonblock wake_r;
-  set_nonblock wake_w;
+  let wake_r, wake_w =
+    try Unix.pipe ()
+    with e -> close_noerr listen_fd; raise e
+  in
+  (* the loop selects on all three every tick: one past the set size
+     would fail it with EINVAL, so refuse to start instead *)
+  if not (List.for_all selectable [ listen_fd; wake_r; wake_w ]) then begin
+    List.iter close_noerr [ listen_fd; wake_r; wake_w ];
+    (match cfg.addr with
+     | `Unix path -> (try Sys.remove path with Sys_error _ -> ())
+     | `Tcp _ -> ());
+    failwith
+      "emsc serve: a listener descriptor is past select's limit \
+       (FD_SETSIZE, 1024 descriptors); the process holds too many open \
+       files"
+  end;
+  List.iter set_nonblock [ listen_fd; wake_r; wake_w ];
   { l_cfg = cfg; listen_fd; wake_r; wake_w }
 
 let serve { l_cfg = cfg; listen_fd; wake_r; wake_w } : stats =

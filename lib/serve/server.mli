@@ -81,7 +81,10 @@ val listen : config -> listener
 (** Bind the socket and create the wake-up pipe.  Once it returns,
     clients may connect (they wait in the backlog until {!serve}
     runs), so a caller that serves from another domain can start its
-    clients without racing the bind. *)
+    clients without racing the bind.  Fails with [Failure] naming
+    select's descriptor limit (FD_SETSIZE, 1024) when the socket or
+    either pipe end lands past it; everything it opened is closed
+    first. *)
 
 val serve : listener -> stats
 (** The event loop of {!run}, on an already bound listener. *)

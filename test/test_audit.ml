@@ -238,6 +238,57 @@ let test_compare_improvement () =
   let j = parse_exn (Json.to_string (BC.json r)) in
   checkb "ok field" true (Json.member "ok" j = Some (Json.Bool true))
 
+(* simulated figure points: (figure, series, x, value) *)
+let with_figures points a =
+  match a with
+  | Json.Obj fields ->
+    let point (f, s, x, v) =
+      Json.Obj
+        [ ("figure", Json.Str f); ("series", Json.Str s); ("x", Json.Str x);
+          ("value", Json.Float v); ("unit", Json.Str "ms") ]
+    in
+    Json.Obj (fields @ [ ("figures", Json.List (List.map point points)) ])
+  | _ -> assert false
+
+let figure_points ?(fig4 = 6.297398518518518) ?(runtime = 3842.7) () =
+  [ ("fig4", "gpu-smem", "256k", fig4); ("fig4", "cpu", "256k", 634.75);
+    ("runtime", "me-128", "seq", runtime) ]
+
+let check_model_regression what nudged =
+  let r =
+    compare_exn (with_figures (figure_points ()) (base ()))
+      (with_figures (figure_points ~fig4:nudged ()) (base ()))
+  in
+  checkb (what ^ " fails the gate") false (BC.ok r);
+  match r.BC.r_regressions with
+  | [ c ] ->
+    Alcotest.check Alcotest.string "key" "fig4.gpu-smem.256k" c.BC.c_key;
+    Alcotest.check Alcotest.string "metric" "model_ms" c.BC.c_metric
+  | l -> Alcotest.failf "expected 1 regression, got %d" (List.length l)
+
+let test_compare_model_up () =
+  check_model_regression "nudged up" (Float.succ 6.297398518518518)
+
+let test_compare_model_down () =
+  check_model_regression "nudged down" (Float.pred 6.297398518518518)
+
+let test_compare_model_ignores_runtime () =
+  let r =
+    compare_exn (with_figures (figure_points ()) (base ()))
+      (with_figures (figure_points ~runtime:1.0 ()) (base ()))
+  in
+  checkb "runtime point does not trip the figure gate" true (BC.ok r);
+  checki "both fig4 points unchanged, with the four sections" 6
+    r.BC.r_unchanged;
+  (* a simulated figure the old artifact lacked is added, not missing *)
+  let r =
+    compare_exn (base ())
+      (with_figures [ ("fig5", "cpu", "1M", 2.0) ] (base ()))
+  in
+  checkb "new figure keeps ok" true (BC.ok r);
+  checkb "added names the point" true
+    (List.mem "fig5.cpu.1M/model_ms" r.BC.r_added)
+
 let test_compare_malformed () =
   match BC.compare (Json.Obj [ ("schema", Json.Str "emsc-bench/1") ]) (base ()) with
   | Error _ -> ()
@@ -260,4 +311,10 @@ let () =
           Alcotest.test_case "missing+added" `Quick
             test_compare_missing_and_added;
           Alcotest.test_case "improvement" `Quick test_compare_improvement;
+          Alcotest.test_case "model figure nudged up" `Quick
+            test_compare_model_up;
+          Alcotest.test_case "model figure nudged down" `Quick
+            test_compare_model_down;
+          Alcotest.test_case "runtime point not model-gated" `Quick
+            test_compare_model_ignores_runtime;
           Alcotest.test_case "malformed" `Quick test_compare_malformed ] ) ]

@@ -1,7 +1,8 @@
-(* Declarative machine-hierarchy tests: the gtx8800 built-in must be
-   bit-identical to the legacy 2-level Config record through every
-   consumer (projection, launch breakdowns on the whole kernel suite,
-   CPU cache timing), the JSON description files must round-trip and
+(* Declarative machine-hierarchy tests: the gtx8800 built-in must
+   reproduce the committed launch-model golden values bit for bit
+   (machine constants, launch breakdowns on the whole kernel suite,
+   total ms) and the legacy CPU cache timing, invalid machines must be
+   rejected by name, the JSON description files must round-trip and
    match the built-ins exactly, and placement must degenerate to the
    legacy capacity rule on 2-level machines. *)
 
@@ -15,60 +16,77 @@ module J = Emsc_obs.Json
 
 let machines_dir = "../examples/machines"
 
-(* --- projection: gtx8800 hierarchy = legacy record, field by field --- *)
+(* --- golden: test/golden_timing.txt ------------------------------------ *)
 
-let test_to_gpu_matches_legacy () =
-  let g = H.to_gpu_exn H.gtx8800 and l = Config.gtx8800 in
-  Alcotest.(check int) "num_mimd" l.Config.num_mimd g.Config.num_mimd;
-  Alcotest.(check int) "simd_per_mimd" l.Config.simd_per_mimd
-    g.Config.simd_per_mimd;
-  Alcotest.(check int) "warp_size" l.Config.warp_size g.Config.warp_size;
-  Alcotest.(check int) "smem_bytes" l.Config.smem_bytes g.Config.smem_bytes;
-  Alcotest.(check int) "word_bytes" l.Config.word_bytes g.Config.word_bytes;
-  Alcotest.(check (float 0.0)) "clock_mhz" l.Config.clock_mhz
-    g.Config.clock_mhz;
-  Alcotest.(check int) "max_blocks_per_mimd" l.Config.max_blocks_per_mimd
-    g.Config.max_blocks_per_mimd;
-  Alcotest.(check (float 0.0)) "flop_cycles" l.Config.flop_cycles
-    g.Config.flop_cycles;
-  Alcotest.(check (float 0.0)) "smem_access_cycles"
-    l.Config.smem_access_cycles g.Config.smem_access_cycles;
-  Alcotest.(check (float 0.0)) "global_latency" l.Config.global_latency
-    g.Config.global_latency;
-  Alcotest.(check (float 0.0)) "global_bw_words_per_cycle"
-    l.Config.global_bw_words_per_cycle g.Config.global_bw_words_per_cycle;
-  Alcotest.(check int) "coalesce_width" l.Config.coalesce_width
-    g.Config.coalesce_width;
-  Alcotest.(check (float 0.0)) "sync_cycles" l.Config.sync_cycles
-    g.Config.sync_cycles;
-  Alcotest.(check (float 0.0)) "global_sync_base" l.Config.global_sync_base
-    g.Config.global_sync_base;
-  Alcotest.(check (float 0.0)) "global_sync_per_block"
-    l.Config.global_sync_per_block g.Config.global_sync_per_block;
-  Alcotest.(check (float 0.0)) "launch_overhead_cycles"
-    l.Config.launch_overhead_cycles g.Config.launch_overhead_cycles
+(* the non-comment lines, split on blanks *)
+let golden =
+  lazy
+    (In_channel.with_open_text "golden_timing.txt" In_channel.input_all
+     |> String.split_on_char '\n'
+     |> List.filter_map (fun line ->
+          if line = "" || line.[0] = '#' then None
+          else Some (String.split_on_char ' ' line)))
 
-(* --- golden: launch breakdowns bit-for-bit on every suite kernel ----- *)
+let golden_rows kind =
+  List.filter_map (function
+    | k :: rest when k = kind -> Some rest
+    | _ -> None)
+    (Lazy.force golden)
 
-let check_breakdown name (a : Timing.breakdown) (b : Timing.breakdown) =
-  let f field va vb =
-    Alcotest.(check (float 0.0)) (name ^ " " ^ field) va vb
+(* exact: both sides printed as hex floats *)
+let check_hex name expected v =
+  Alcotest.(check string) name expected (Printf.sprintf "%h" v)
+
+let test_gtx8800_matches_golden () =
+  let s = H.staging H.gtx8800 and c = H.compute H.gtx8800 in
+  let e = Option.get s.H.l_to_parent in
+  let i = float_of_int in
+  let field = function
+    | "num_mimd" -> i s.H.l_fanout
+    | "simd_per_mimd" -> i c.H.c_simd_per_unit
+    | "warp_size" -> i c.H.c_warp_size
+    | "smem_bytes" -> i (Option.get s.H.l_capacity_bytes)
+    | "word_bytes" -> i s.H.l_word_bytes
+    | "clock_mhz" -> c.H.c_clock_mhz
+    | "max_blocks_per_mimd" -> i c.H.c_max_blocks_per_unit
+    | "flop_cycles" -> c.H.c_flop_cycles
+    | "smem_access_cycles" -> s.H.l_access_cycles
+    | "global_latency" -> e.H.e_latency
+    | "global_bw_words_per_cycle" -> e.H.e_bw_words_per_cycle
+    | "coalesce_width" -> i e.H.e_coalesce_width
+    | "sync_cycles" -> c.H.c_sync_cycles
+    | "global_sync_base" -> c.H.c_global_sync_base
+    | "global_sync_per_block" -> c.H.c_global_sync_per_block
+    | "launch_overhead_cycles" -> c.H.c_launch_overhead_cycles
+    | f -> Alcotest.failf "unknown machine field %s" f
   in
-  Alcotest.(check int) (name ^ " occ") a.Timing.occ b.Timing.occ;
-  f "blocks_per_mp" a.Timing.blocks_per_mp b.Timing.blocks_per_mp;
-  f "warps_in_flight" a.Timing.warps_in_flight b.Timing.warps_in_flight;
-  f "pipeline_eff" a.Timing.pipeline_eff b.Timing.pipeline_eff;
-  f "t_comp" a.Timing.t_comp b.Timing.t_comp;
-  f "t_bw" a.Timing.t_bw b.Timing.t_bw;
-  f "t_lat" a.Timing.t_lat b.Timing.t_lat;
-  f "t_sync" a.Timing.t_sync b.Timing.t_sync;
-  f "t_fence" a.Timing.t_fence b.Timing.t_fence;
-  f "t_block" a.Timing.t_block b.Timing.t_block;
-  f "global_sync_cycles" a.Timing.global_sync_cycles
-    b.Timing.global_sync_cycles;
-  f "launch_cycles" a.Timing.launch_cycles b.Timing.launch_cycles
+  let rows = golden_rows "machine" in
+  Alcotest.(check int) "all 16 fields pinned" 16 (List.length rows);
+  List.iter (function
+    | [ f; v ] ->
+      Alcotest.(check (float 0.0)) f (float_of_string v) (field f)
+    | _ -> Alcotest.fail "malformed machine row")
+    rows
+
+let breakdown_fields (b : Timing.breakdown) =
+  [ ("blocks_per_mp", b.Timing.blocks_per_mp);
+    ("warps_in_flight", b.Timing.warps_in_flight);
+    ("pipeline_eff", b.Timing.pipeline_eff);
+    ("t_comp", b.Timing.t_comp);
+    ("t_bw", b.Timing.t_bw);
+    ("t_lat", b.Timing.t_lat);
+    ("t_sync", b.Timing.t_sync);
+    ("t_fence", b.Timing.t_fence);
+    ("t_block", b.Timing.t_block);
+    ("global_sync_cycles", b.Timing.global_sync_cycles);
+    ("launch_cycles", b.Timing.launch_cycles) ]
 
 let test_breakdown_bit_identical () =
+  let expected = Hashtbl.create 16 in
+  List.iter (function
+    | name :: p :: l :: fields -> Hashtbl.replace expected (name, p, l) fields
+    | _ -> Alcotest.fail "malformed breakdown row")
+    (golden_rows "breakdown");
   let checked = ref 0 in
   List.iter (fun (job : Pipeline.job) ->
     let name = Source.name job.Pipeline.source in
@@ -85,19 +103,34 @@ let test_breakdown_bit_identical () =
                Runner.zero_env)
         | None -> 0
       in
-      List.iter (fun gp ->
-        List.iter (fun l ->
-          incr checked;
-          check_breakdown name
-            (Timing.gpu_launch_breakdown Config.gtx8800 gp l)
-            (Timing.launch_breakdown H.gtx8800 gp l))
+      List.iteri (fun pi gp ->
+        List.iteri (fun li l ->
+          let key = (name, string_of_int pi, string_of_int li) in
+          let row = Printf.sprintf "%s %d %d" name pi li in
+          match Hashtbl.find_opt expected key with
+          | None -> Alcotest.failf "%s: no golden row" row
+          | Some golden ->
+            incr checked;
+            let b = Timing.launch_breakdown H.gtx8800 gp l in
+            let actual =
+              ("occ", string_of_int b.Timing.occ)
+              :: List.map (fun (f, v) -> (f, Printf.sprintf "%h" v))
+                   (breakdown_fields b)
+            in
+            let rec pairs = function
+              | f :: v :: rest -> (f, v) :: pairs rest
+              | _ -> []
+            in
+            Alcotest.(check (list (pair string string))) row (pairs golden)
+              actual)
           result.Exec.launches)
         [ { Timing.threads = 256; smem_bytes_per_block = smem;
             coalesce_eff = 16.0; global_sync = false; double_buffer = false };
           { Timing.threads = 64; smem_bytes_per_block = 2 * smem;
             coalesce_eff = 4.0; global_sync = true; double_buffer = true } ])
     (Suite.jobs ());
-  Alcotest.(check bool) "checked some launches" true (!checked > 0)
+  Alcotest.(check int) "every golden launch checked" (Hashtbl.length expected)
+    !checked
 
 let test_total_ms_bit_identical () =
   match Pipeline.compile (Matmul.job ~n:32 ()) with
@@ -105,9 +138,31 @@ let test_total_ms_bit_identical () =
   | Ok c ->
     let _, result = Runner.simulate c in
     let gp = { Timing.default_params with Timing.threads = 128 } in
-    Alcotest.(check (float 0.0)) "hierarchy_total_ms = gpu_total_ms"
-      (Timing.gpu_total_ms Config.gtx8800 gp result)
-      (Timing.hierarchy_total_ms H.gtx8800 gp result)
+    match golden_rows "total_ms" with
+    | [ [ "matmul-32"; v ] ] ->
+      check_hex "total_ms" v (Timing.total_ms H.gtx8800 gp result)
+    | _ -> Alcotest.fail "expected one total_ms row"
+
+(* a hand-built machine that skips [validate] and lacks the staging
+   level's capacity or parent edge is rejected by name *)
+let test_invalid_machine_rejected () =
+  let l =
+    { Exec.grid = 1.0; per_block = Exec.fresh (); repeat = 1.0 }
+  in
+  let with_staging f =
+    match H.gtx8800.H.h_levels with
+    | [ smem; dram ] ->
+      { H.gtx8800 with H.h_name = "broken"; h_levels = [ f smem; dram ] }
+    | _ -> assert false
+  in
+  List.iter (fun (what, h) ->
+    match Timing.launch_breakdown h Timing.default_params l with
+    | _ -> Alcotest.failf "%s: accepted" what
+    | exception Invalid_argument msg ->
+      Alcotest.(check bool) (what ^ " names the machine: " ^ msg) true
+        (String.starts_with ~prefix:"Timing: broken: smem: " msg))
+    [ ("no capacity", with_staging (fun s -> { s with H.l_capacity_bytes = None }));
+      ("no parent edge", with_staging (fun s -> { s with H.l_to_parent = None })) ]
 
 (* --- cache timing: hierarchy formula = legacy core2duo constants ----- *)
 
@@ -278,19 +333,19 @@ let test_edge_totals_cross_outward () =
 
 let test_effective_words () =
   Alcotest.(check int) "plain" 7 (H.effective_words ~double_buffer:false 7);
-  Alcotest.(check int) "doubled" 14 (H.effective_words ~double_buffer:true 7);
-  Alcotest.(check int) "timing alias" 14
-    (Timing.effective_smem_words ~double_buffer:true 7)
+  Alcotest.(check int) "doubled" 14 (H.effective_words ~double_buffer:true 7)
 
 let () =
   Alcotest.run "hierarchy"
     [ ( "projection",
-        [ Alcotest.test_case "to_gpu = legacy gtx8800" `Quick
-            test_to_gpu_matches_legacy;
+        [ Alcotest.test_case "gtx8800 = golden machine constants" `Quick
+            test_gtx8800_matches_golden;
           Alcotest.test_case "suite launch breakdowns bit-identical" `Quick
             test_breakdown_bit_identical;
           Alcotest.test_case "total ms bit-identical" `Quick
             test_total_ms_bit_identical;
+          Alcotest.test_case "invalid machine rejected by name" `Quick
+            test_invalid_machine_rejected;
           Alcotest.test_case "cache timing = legacy formula" `Quick
             test_cache_total_ms_formula ] );
       ( "json",

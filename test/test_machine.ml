@@ -402,7 +402,7 @@ let test_overflow_near_max_int () =
 (* --- timing model ------------------------------------------------------------- *)
 
 let test_occupancy () =
-  let g = Config.gtx8800 in
+  let g = Hierarchy.gtx8800 in
   Alcotest.(check int) "no smem -> max blocks" 8
     (Timing.occupancy g ~smem_bytes_per_block:0);
   Alcotest.(check int) "16KB -> 1 block" 1
@@ -413,7 +413,7 @@ let test_occupancy () =
     (Timing.occupancy g ~smem_bytes_per_block:1024)
 
 let test_timing_monotonic_in_traffic () =
-  let g = Config.gtx8800 in
+  let g = Hierarchy.gtx8800 in
   let params = Timing.default_params in
   let mk gld =
     { Exec.grid = 32.0;
@@ -422,12 +422,12 @@ let test_timing_monotonic_in_traffic () =
           s_st = 0.0; syncs = 0.0; fences = 0.0 };
       repeat = 1.0 }
   in
-  let t1 = Timing.gpu_launch_cycles g params (mk 1000.0) in
-  let t2 = Timing.gpu_launch_cycles g params (mk 100000.0) in
+  let t1 = Timing.launch_cycles g params (mk 1000.0) in
+  let t2 = Timing.launch_cycles g params (mk 100000.0) in
   Alcotest.(check bool) "more traffic, more time" true (t2 > t1)
 
 let test_timing_repeat_scales () =
-  let g = Config.gtx8800 in
+  let g = Hierarchy.gtx8800 in
   let params = Timing.default_params in
   let l =
     { Exec.grid = 16.0;
@@ -436,8 +436,8 @@ let test_timing_repeat_scales () =
           s_st = 0.0; syncs = 2.0; fences = 1.0 };
       repeat = 1.0 }
   in
-  let t1 = Timing.gpu_launch_cycles g params l in
-  let t5 = Timing.gpu_launch_cycles g params { l with Exec.repeat = 5.0 } in
+  let t1 = Timing.launch_cycles g params l in
+  let t5 = Timing.launch_cycles g params { l with Exec.repeat = 5.0 } in
   Alcotest.(check (float 0.001)) "repeat multiplies" (5.0 *. t1) t5
 
 let () =

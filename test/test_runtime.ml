@@ -369,9 +369,9 @@ let fig1_plan () =
 
 let test_effective_smem_helpers () =
   Alcotest.(check int) "single" 100
-    (Timing.effective_smem_words ~double_buffer:false 100);
+    (Hierarchy.effective_words ~double_buffer:false 100);
   Alcotest.(check int) "double" 200
-    (Timing.effective_smem_words ~double_buffer:true 100);
+    (Hierarchy.effective_words ~double_buffer:true 100);
   Alcotest.(check int) "bytes" 800
     (Timing.effective_smem_bytes ~double_buffer:true ~word_bytes:4 100)
 

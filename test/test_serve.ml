@@ -412,6 +412,51 @@ let test_high_fd_rejected_daemon_survives () =
   | Ok resp -> Alcotest.(check bool) "status after the reject" true resp.Client.ok
   | Error m -> Alcotest.failf "daemon died at a high descriptor: %s" m
 
+(* a listener whose socket or wake-up pipe would land past select's set
+   size fails in [listen], naming the limit and closing what it opened,
+   instead of dying on the loop's first tick *)
+let test_listen_past_fd_limit_fails () =
+  let held = ref [] in
+  let release () =
+    List.iter (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ()) !held;
+    held := []
+  in
+  Fun.protect ~finally:release (fun () ->
+    let limited =
+      try
+        for _ = 1 to 1100 do
+          held := Unix.openfile "/dev/null" [ Unix.O_RDONLY ] 0 :: !held
+        done;
+        false
+      with Unix.Unix_error (Unix.EMFILE, _, _) -> true
+    in
+    if limited then
+      print_endline "descriptor limit below 1100: listen check unreachable"
+    else begin
+      (* keep every descriptor below 1024 held and free the rest: the
+         next one opened is past select's set size *)
+      let selectable fd =
+        match Unix.select [ fd ] [] [] 0.0 with
+        | _ -> true
+        | exception Unix.Unix_error (Unix.EINVAL, _, _) -> false
+      in
+      let low, high = List.partition selectable !held in
+      List.iter Unix.close high;
+      held := low;
+      let sock = fresh_sock () in
+      let before = count_fds () in
+      (match Server.listen (Server.config ~workers:1 (`Unix sock)) with
+       | _ -> Alcotest.fail "listen accepted a descriptor past 1024"
+       | exception Failure m ->
+         Alcotest.(check bool) ("names the limit: " ^ m) true
+           (String.starts_with ~prefix:"emsc serve: " m
+            && String.ends_with ~suffix:"too many open files" m
+            && List.exists
+                 (fun w -> w = "(FD_SETSIZE,") (String.split_on_char ' ' m)));
+      Alcotest.(check int) "everything opened is closed" before (count_fds ());
+      Alcotest.(check bool) "socket file removed" false (Sys.file_exists sock)
+    end)
+
 (* --- backpressure and timeouts ----------------------------------------- *)
 
 let test_queue_full_backpressure () =
@@ -607,7 +652,9 @@ let () =
           Alcotest.test_case "oversized line rejected, no fd leak" `Slow
             test_oversized_line_rejected_and_no_fd_leak;
           Alcotest.test_case "descriptor past 1024 rejected, daemon survives"
-            `Slow test_high_fd_rejected_daemon_survives ] );
+            `Slow test_high_fd_rejected_daemon_survives;
+          Alcotest.test_case "listen past 1024 fails cleanly" `Quick
+            test_listen_past_fd_limit_fails ] );
       ( "load",
         [ Alcotest.test_case "queue_full backpressure" `Slow
             test_queue_full_backpressure;
